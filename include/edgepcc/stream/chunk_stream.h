@@ -33,11 +33,13 @@
  *    MTU-sized slices (`slice_index` of `slice_count`), each an
  *    independently CRC-protected chunk. A bit flip then costs one
  *    slice, not the frame.
- *  - XOR-parity FEC: every `FecSpec::group_size` data chunks form a
- *    group and emit one parity chunk (kChunkFlagParity) whose
- *    payload XORs the group's *records* (header-identifying prefix
- *    + size + payload). The receiver reconstructs any single lost
- *    data chunk per group without a NACK round-trip.
+ *  - Parity FEC: every `FecSpec::group_size` data chunks form a
+ *    group and emit parity chunks (kChunkFlagParity) that code the
+ *    group's *records* (header-identifying prefix + size +
+ *    payload) with the Reed-Solomon code of rs_fec.h: one row (the
+ *    plain XOR) for FecScheme::kXor, m rows for kReedSolomon. The
+ *    receiver reconstructs up to that many lost data chunks per
+ *    group without a NACK round-trip.
  */
 
 #ifndef EDGEPCC_STREAM_CHUNK_STREAM_H
@@ -70,9 +72,9 @@ inline constexpr std::size_t kChunkHeaderBytesV2 =
 /** Backstop against absurd payload sizes from damaged headers. */
 inline constexpr std::uint32_t kMaxChunkPayload = 1u << 28;
 
-/** `fec_seq` sentinel carried by parity chunks. XOR parity always
- *  uses exactly this value; Reed-Solomon parity row `p` uses
- *  kFecParitySeq - p (see rsParitySeq). */
+/** `fec_seq` sentinel carried by parity chunks: parity row `p`
+ *  uses kFecParitySeq - p (see rsParitySeq). XOR groups send row 0
+ *  only, so their parity always carries exactly this value. */
 inline constexpr std::uint8_t kFecParitySeq = 0xff;
 
 /** Chunk flag bits. */
@@ -80,9 +82,10 @@ enum ChunkFlags : std::uint8_t {
     kChunkFlagRetransmit = 1u << 0,  ///< NACK-driven resend
     kChunkFlagParity = 1u << 1,      ///< payload is FEC parity
     kChunkFlagFec = 1u << 2,         ///< member of an FEC group
-    /** Parity-scheme bit: the chunk's FEC group uses Reed-Solomon
-     *  parity (up to m losses per group) instead of XOR (one loss).
-     *  Never set on XOR or v1 wires, so those stay byte-identical. */
+    /** Parity-scheme bit: the chunk's FEC group carries m parity
+     *  rows (up to m losses per group), not the single XOR row (one
+     *  loss). Never set on XOR or v1 wires, so those stay
+     *  byte-identical. */
     kChunkFlagRsFec = 1u << 3,
     kChunkFlagV2 = 1u << 7,  ///< extension fields present
 };
@@ -101,9 +104,9 @@ struct FecSpec {
     /** Data chunks per parity group. Groups never span frames, so
      *  the last group of a frame may be smaller. */
     int group_size = 4;
-    /** Parity scheme. kXor reproduces the PR 4 wire byte for byte;
-     *  kReedSolomon emits `parity_chunks` Cauchy-coded parity rows
-     *  per group and sets kChunkFlagRsFec on every member. */
+    /** Parity scheme. kXor emits parity row 0 alone (the plain XOR
+     *  of the records); kReedSolomon emits `parity_chunks` rows per
+     *  group and sets kChunkFlagRsFec on every member. */
     FecScheme scheme = FecScheme::kXor;
     /** RS parity rows per group (m). Ignored for kXor. Must satisfy
      *  1 <= m < group_size and group_size + m <= 255 (the Cauchy
@@ -168,7 +171,7 @@ struct ChunkHeader {
         return (flags & kChunkFlagParity) != 0;
     }
 
-    /** True when the chunk's FEC group is Reed-Solomon coded. */
+    /** True when the chunk's FEC group carries m parity rows. */
     bool
     isRsFec() const
     {
@@ -275,39 +278,11 @@ std::vector<ChunkView> sliceFramePayloadViews(
 std::vector<std::uint8_t> assembleSlices(
     const std::vector<const std::vector<std::uint8_t> *> &slices);
 
-/**
- * Builds the XOR-parity payload over one FEC group's data chunks.
- * The parity XORs fixed-layout *records* (frame_id, gop_id,
- * slice_index/count, frame_type, fec_seq, payload_size, payload,
- * zero-padded to the longest record), so the receiver can rebuild a
- * missing chunk's header fields as well as its bytes.
- */
-std::vector<std::uint8_t> buildFecParity(
-    const std::vector<ParsedChunk> &group);
-
-/**
- * Zero-copy variant of buildFecParity(): XORs each view's record
- * (header prefix + payload bytes, read in place) into `parity`
- * (cleared first) with the SIMD-dispatched XOR kernel — no record
- * buffers are materialized. Callers reuse `parity` across groups.
- */
-void buildFecParityInto(const std::vector<ChunkView> &group,
-                        std::vector<std::uint8_t> &parity);
-
-/**
- * Reconstructs the single missing data chunk of an FEC group from
- * the group's other `received` data chunks and the parity payload.
- * Returns nullopt when the parity is inconsistent (e.g. more than
- * one chunk was actually missing, or the sizes don't add up).
- */
-std::optional<ParsedChunk> recoverFecChunk(
-    const std::vector<ParsedChunk> &received,
-    const std::vector<std::uint8_t> &parity_payload);
-
 /** Size of the fixed per-chunk prefix of an FEC record (frame_id,
  *  gop_id, slice_index/count, frame_type, fec_seq, payload_size);
- *  the payload follows. XOR and RS parity both code over records so
- *  a recovery rebuilds header identity and bytes together. */
+ *  the payload follows, zero-padded to the group's longest record.
+ *  Parity codes over records so a recovery rebuilds header
+ *  identity and bytes together. */
 inline constexpr std::size_t kFecRecordPrefixBytes = 18;
 
 /** Serializes a chunk's FEC-record prefix into `out`

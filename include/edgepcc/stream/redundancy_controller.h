@@ -3,20 +3,17 @@
  * Unified redundancy negotiation: one controller for (bitrate,
  * GOP length, RS k/m) against a single wire budget.
  *
- * The stacked controllers it supersedes — AdaptiveFecController
- * shrinking XOR groups on EWMA loss, AdaptiveGopController halving
- * the GOP on the same signal, keyframe-on-loss firing after any
- * undelivered frame — each spend wire bytes or quality without
- * seeing what the others already spent: sustained-but-recoverable
- * loss would simultaneously buy more parity AND shorter GOPs AND
- * forced keyframes, tripling the bitrate cost of one cause. This
- * controller (opt-in via SessionConfig::redundancy) makes the three
- * trades from one model:
+ * Without it a session runs fixed FEC geometry (FecSpec) under
+ * AdaptiveGopController, which halves the GOP on an EWMA of frame
+ * losses, plus a forced keyframe after every undelivered frame;
+ * neither sees the loss pattern or the parity bytes being spent.
+ * This controller (opt-in via SessionConfig::redundancy) owns RS k
+ * and m and makes the parity, GOP, keyframe and bitrate trades from
+ * one model:
  *
  *  - EWMA *burst length* — not just loss rate — picks the RS parity
  *    depth m: parity must cover the losses that actually arrive
- *    together, which is the statistic XOR group-size adaptation
- *    cannot express.
+ *    together, which a loss rate alone cannot express.
  *  - The group size k follows from the parity byte share the loss
  *    estimate justifies (share = clamp(burst_safety * loss, floor,
  *    max_parity_share); k = m * (1 - share) / share): a clean
@@ -37,7 +34,7 @@
  *    overshoot.
  *
  * Deterministic: state depends only on the feedback sequence.
- * Thread-safe like the controllers it replaces (mutex-guarded).
+ * Thread-safe like AdaptiveGopController (mutex-guarded).
  */
 
 #ifndef EDGEPCC_STREAM_REDUNDANCY_CONTROLLER_H

@@ -2,39 +2,40 @@
  * @file
  * GF(256) Reed-Solomon erasure codec over FEC-group records.
  *
- * The XOR parity of PR 4 recovers exactly one lost chunk per group;
- * on the burst channels the paper's edge links actually see,
- * consecutive losses inside one group still cost a NACK round-trip.
- * This codec generalizes the parity to m rows: a group of k data
- * chunks emits m = FecSpec::parity_chunks parity chunks, and ANY
- * subset of up to m lost data chunks is recoverable from the
- * surviving rows — no retransmission.
+ * A group of k data chunks emits m parity chunks, and ANY subset of
+ * up to m lost data chunks is recoverable from the surviving rows —
+ * no retransmission. XOR FEC is this code with m = 1: parity row 0
+ * is the plain XOR of the records, so FecScheme::kXor sends row 0
+ * alone and the receiver decodes both schemes here.
  *
  * Code construction (docs/RESILIENCE.md "Reed-Solomon parity"):
  * parity row p is the GF(256) linear combination
  *
- *     P_p = sum_i C[p][i] * R_i ,   C[p][i] = 1 / ((k + p) ^ i)
+ *     P_p = sum_i C[p][i] * R_i ,   C[p][i] = (k ^ i) / ((k + p) ^ i)
  *
- * over the group's FEC *records* R_i (the same 18-byte prefix +
- * payload layout the XOR parity codes over, zero-padded to the
- * longest record), with the Cauchy coefficients C built from the
- * distinct field points x_p = k + p and y_i = i. Every square
- * submatrix of a Cauchy matrix is invertible, which is exactly the
+ * over the group's FEC *records* R_i (18-byte prefix + payload,
+ * zero-padded to the longest record). C is the Cauchy matrix
+ * 1 / (x_p ^ y_i) on the distinct field points x_p = k + p and
+ * y_i = i, with column i scaled by k ^ i = 1 / C[0][i]. Every
+ * square submatrix of a Cauchy matrix is invertible, and scaling
+ * columns by nonzero constants keeps it so, which is exactly the
  * MDS property the erasure decode needs; it holds for any
- * k + m <= 255 (validated at session setup). The inner loop is
- * `gfMulAddBytes` (platform/simd.h), dispatched scalar/SSE4/AVX2
- * with the scalar path as the byte-identical reference.
+ * k + m <= 255 (validated at session setup). The scaling makes row
+ * 0 all ones, and `gfMulAddBytes` (platform/simd.h, dispatched
+ * scalar/SSE4/AVX2 with the scalar path as the byte-identical
+ * reference) runs coefficient 1 as a plain XOR.
  *
  * Decode is classic erasure algebra: subtract the known data
  * records from each surviving parity row (leaving the syndromes of
- * the e missing records), then solve the e x e Cauchy subsystem by
+ * the e missing records), then solve the e x e subsystem by
  * Gaussian elimination over GF(256), applying the same row
  * operations to the syndrome byte rows.
  *
  * On the wire parity row p travels as fec_seq = rsParitySeq(p)
- * (0xff, 0xfe, ...) with kChunkFlagRsFec set on every group member;
- * m itself is never transmitted — the receiver decodes as soon as
- * (received data rows) + (received parity rows) >= k.
+ * (0xff, 0xfe, ...); kChunkFlagRsFec marks every member of an
+ * m-row group and is never set on XOR groups. m itself is never
+ * transmitted — the receiver decodes as soon as (received data
+ * rows) + (received parity rows) >= k.
  */
 
 #ifndef EDGEPCC_STREAM_RS_FEC_H
@@ -52,16 +53,17 @@ namespace edgepcc {
 /** Maximum k + m the Cauchy construction supports. */
 inline constexpr int kRsMaxGroupPlusParity = 255;
 
-/** Cauchy encode coefficient C[row][i] for a k-data group:
- *  1 / ((k + row) ^ i). Requires 0 <= i < k and k + row <= 255. */
+/** Encode coefficient C[row][i] for a k-data group:
+ *  (k ^ i) / ((k + row) ^ i); 1 on row 0. Requires 0 <= i < k and
+ *  k + row <= 255. */
 std::uint8_t rsCoefficient(int k, int row, int i);
 
 /**
  * Builds Reed-Solomon parity row `row` over one FEC group's data
  * chunks into `parity` (cleared first): the GF(256) combination of
  * the group's records, sized to the longest record. Callers reuse
- * `parity` across rows and groups; like buildFecParityInto the
- * payload bytes are read in place from the views, never copied.
+ * `parity` across rows and groups; the payload bytes are read in
+ * place from the views, never copied. Row 0 is the XOR parity.
  */
 void buildRsParityInto(const std::vector<ChunkView> &group, int row,
                        std::vector<std::uint8_t> &parity);

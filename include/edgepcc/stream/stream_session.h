@@ -6,9 +6,9 @@
  *
  *  - StreamReceiver: decoder-side resilience. Ingests (possibly
  *    damaged) wire bytes, reassembles chunks by frame id and slice
- *    index, reconstructs single lost chunks per FEC group from XOR
- *    parity, and runs a degradation ladder instead of aborting the
- *    stream:
+ *    index, reconstructs lost chunks per FEC group from its parity
+ *    rows (rs_fec.h; XOR parity is row 0), and runs a degradation
+ *    ladder instead of aborting the stream:
  *      ok        - all slices intact, decoded normally
  *      resynced  - an intact I frame re-anchored the stream after
  *                  preceding damage
@@ -19,13 +19,13 @@
  *      skipped   - nothing presentable (loss before any good frame)
  *
  *  - StreamSession: the closed loop. Encodes frames, splits each
- *    payload into MTU-sized slices, groups data chunks into
- *    XOR-parity FEC groups, ships everything through a
- *    fault-injection LossyChannel, answers receiver NACKs with
- *    bounded exponential-backoff retransmissions of the missing
- *    slices only, and feeds delivery outcomes to
- *    AdaptiveGopController so sustained loss shortens the GOP and an
- *    unrecovered loss forces a keyframe.
+ *    payload into MTU-sized slices, groups data chunks into parity
+ *    FEC groups, ships everything through a fault-injection
+ *    LossyChannel, answers receiver NACKs with bounded
+ *    exponential-backoff retransmissions of the missing slices
+ *    only, and feeds delivery back to one controller: the
+ *    redundancy controller, or AdaptiveGopController plus a
+ *    keyframe after each unrecovered loss.
  *
  * Everything is deterministic given (codec config, session config,
  * input frames): the channel is seeded and no wall-clock time is
@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "edgepcc/common/retry.h"
@@ -97,7 +98,9 @@ struct FecStats {
     std::size_t groups = 0;           ///< groups seen at all
     std::size_t parity_received = 0;  ///< intact parity chunks
     std::size_t recovered_chunks = 0; ///< data chunks rebuilt
-    /** Groups missing exactly one chunk (data or parity). */
+    /** Groups missing exactly one chunk. XOR groups count data and
+     *  parity losses alike; Reed-Solomon groups count lost data
+     *  chunks only (a lost parity row needs no recovery). */
     std::size_t single_loss_groups = 0;
     /** Single-loss groups whose data is complete without any
      *  retransmission (parity reconstruction, or the parity itself
@@ -108,7 +111,7 @@ struct FecStats {
     /** Reed-Solomon groups missing two or more data chunks. */
     std::size_t multi_loss_groups = 0;
     /** Multi-loss groups fully rebuilt from parity rows — losses
-     *  that XOR parity (or NACK-free delivery) could never cover. */
+     *  that a single XOR row could never cover. */
     std::size_t multi_loss_recovered = 0;
 
     /** Fraction of single-loss groups needing no retransmission;
@@ -177,8 +180,8 @@ class StreamReceiver
 
     /** Scans damaged wire bytes; slices are buffered per frame
      *  (first intact copy of each slice wins), parity chunks feed
-     *  FEC groups, and any group reduced to a single missing data
-     *  chunk is reconstructed immediately. */
+     *  FEC groups, and any group whose parity rows cover its
+     *  missing data chunks is reconstructed immediately. */
     WireScanStats ingest(const std::vector<std::uint8_t> &wire);
 
     /** True once every slice of `frame_id` is buffered intact. */
@@ -225,18 +228,18 @@ class StreamReceiver
         }
     };
 
-    /** One FEC group's receive state (XOR or Reed-Solomon; the
-     *  scheme travels in the chunk flags). Recovered chunks are
-     *  buffered as slices but never inserted into `data`, so
-     *  `expected - data.size()` stays the channel's original loss
-     *  count for accounting. */
+    /** One FEC group's receive state. XOR parity is stored as row
+     *  0, so both schemes decode through recoverRsChunks. Recovered
+     *  chunks are buffered as slices but never inserted into
+     *  `data`, so `expected - data.size()` stays the channel's
+     *  original loss count for accounting. */
     struct FecGroup {
         std::uint8_t expected = 0;  ///< data chunks in the group
-        bool rs = false;  ///< kChunkFlagRsFec seen on a member
-        bool parity_present = false;  ///< XOR parity arrived
+        /** kChunkFlagRsFec seen on a member; read by fecStats()
+         *  only, since an RS group's m never travels on the wire. */
+        bool rs = false;
         bool recovered = false;
-        std::vector<std::uint8_t> parity;  ///< XOR parity payload
-        /** RS parity payloads keyed by parity row index. */
+        /** Parity payloads keyed by parity row index. */
         std::map<int, std::vector<std::uint8_t>> parity_rows;
         std::map<std::uint8_t, ParsedChunk> data;
     };
@@ -251,8 +254,10 @@ class StreamReceiver
     mutable Mutex mutex_;
     std::map<std::uint32_t, SliceBuffer> by_frame_
         EDGEPCC_GUARDED_BY(mutex_);
-    std::map<std::uint16_t, FecGroup> groups_
-        EDGEPCC_GUARDED_BY(mutex_);
+    /** Groups never span frames and the u16 group id wraps, so a
+     *  group is keyed by (frame_id, fec_group). */
+    std::map<std::pair<std::uint32_t, std::uint16_t>, FecGroup>
+        groups_ EDGEPCC_GUARDED_BY(mutex_);
     std::size_t recovered_chunks_ EDGEPCC_GUARDED_BY(mutex_) = 0;
     VideoDecoder decoder_ EDGEPCC_GUARDED_BY(mutex_);
     WireScanStats wire_ EDGEPCC_GUARDED_BY(mutex_);
@@ -270,37 +275,30 @@ struct SessionConfig {
     /** Sub-frame slicing: max payload bytes per chunk. 0 disables
      *  slicing (one chunk per frame, v1 wire layout). */
     std::size_t mtu_payload = 0;
-    /** XOR-parity FEC over data chunks (see chunk_stream.h).
-     *  Recovery of any single lost chunk per group without a NACK
-     *  round-trip; retransmission remains the fallback. */
+    /** Parity FEC over data chunks (see chunk_stream.h): XOR
+     *  recovers one lost chunk per group, Reed-Solomon up to m,
+     *  without a NACK round-trip; retransmission remains the
+     *  fallback. */
     FecSpec fec{};
     /** Interleave depth D: consecutive slices are striped across D
      *  concurrently open FEC groups, so a drop burst of up to D
      *  consecutive chunks costs each group at most one chunk (all
      *  recoverable from parity) instead of wiping one group.
-     *  <= 1 keeps the contiguous grouping (and its exact wire
-     *  bytes). Requires fec.enabled. */
+     *  1 is the contiguous grouping. Requires fec.enabled. */
     int fec_interleave = 1;
-    /** Drive the FEC group size from the EWMA loss estimate:
-     *  sustained loss shrinks groups (more parity exactly when
-     *  recovery matters), a clean channel grows them back.
-     *  Requires fec.enabled; fec.group_size seeds the controller. */
-    bool adaptive_fec = false;
-    AdaptiveFecConfig fec_adaptive{};
-    /** Adaptive keyframe insertion under sustained loss. */
+    /** Adaptive keyframe insertion under sustained loss
+     *  (AdaptiveGopController). With the redundancy controller off,
+     *  an unrecovered loss also forces an I frame right after it,
+     *  so damage cannot propagate past the next frame. */
     bool adaptive_gop = true;
     AdaptiveGopConfig gop{};
-    /** Force an I frame right after an unrecovered loss, so damage
-     *  cannot propagate past the next frame. */
-    bool keyframe_on_loss = true;
     /**
      * Unified redundancy negotiation (redundancy_controller.h):
      * when enabled (requires fec.enabled with
      * FecScheme::kReedSolomon), one controller picks (RS k/m, GOP
-     * length, reuse-threshold bitrate rung) against a single wire
-     * budget and SUPERSEDES adaptive_fec (rejected at validation),
-     * adaptive_gop and keyframe_on_loss — GOP shortening and forced
-     * keyframes then fire only on genuinely unrecoverable loss.
+     * length, reuse-threshold bitrate rung, forced keyframe)
+     * against a single wire budget and SUPERSEDES
+     * fec.group_size/parity_chunks and adaptive_gop.
      */
     RedundancyConfig redundancy{};
     /** Deadline-aware encode ladder + admission control + watchdog
@@ -326,10 +324,10 @@ struct SessionConfig {
  * Status): FEC group_size < 2 or > 255, RS parity m < 1 or
  * m >= group_size, k + m past the GF(256) Cauchy bound,
  * interleaving without FEC/slicing or with lanes that don't divide
- * the group's slice budget, adaptive_fec without FEC or stacked
- * under the redundancy controller, redundancy without RS FEC, and
- * negative retry/backoff knobs. StreamSession::run calls this
- * first; serve/pipeline layers inherit the check.
+ * the group's slice budget, redundancy without RS FEC or with
+ * invalid bounds, and negative retry/backoff knobs.
+ * StreamSession::run calls this first; serve/pipeline layers
+ * inherit the check.
  */
 Status validateSessionConfig(const SessionConfig &config);
 

@@ -14,8 +14,13 @@ rsCoefficient(int k, int row, int i)
 {
     // Cauchy points: x_row = k + row (parity), y_i = i (data). All
     // distinct for k + row <= 255 and i < k, so x ^ y is never 0
-    // and every square submatrix is invertible (MDS).
-    return gfInv(static_cast<std::uint8_t>((k + row) ^ i));
+    // and every square submatrix of 1 / (x ^ y) is invertible.
+    // Column i is then scaled by k ^ i = 1 / C[0][i]: scaling a
+    // column by a nonzero constant keeps every square submatrix
+    // invertible (MDS), and row 0 becomes all ones, so parity row 0
+    // is the plain XOR of the records.
+    return gfDiv(static_cast<std::uint8_t>(k ^ i),
+                 static_cast<std::uint8_t>((k + row) ^ i));
 }
 
 namespace {

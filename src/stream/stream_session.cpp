@@ -85,40 +85,21 @@ StreamReceiver::tryRecoverLocked(FecGroup &group)
         group.data.size() >=
             static_cast<std::size_t>(group.expected))
         return;
-    if (group.rs) {
-        // Reed-Solomon: solvable once the received data rows plus
-        // parity rows reach k. Retried on every later arrival (a
-        // failed attempt may succeed once another row lands).
-        const std::size_t missing =
-            group.expected - group.data.size();
-        if (group.parity_rows.size() < missing)
-            return;
-        std::optional<std::vector<ParsedChunk>> rebuilt =
-            recoverRsChunks(group.expected, group.data,
-                            group.parity_rows);
-        if (!rebuilt.has_value())
-            return;
-        group.recovered = true;
-        recovered_chunks_ += rebuilt->size();
-        for (const ParsedChunk &chunk : *rebuilt)
-            bufferSliceLocked(chunk);
+    // Solvable once the received data rows plus parity rows reach
+    // k. Retried on every later arrival (a failed attempt may
+    // succeed once another row lands).
+    const std::size_t missing = group.expected - group.data.size();
+    if (group.parity_rows.size() < missing)
         return;
-    }
-    if (!group.parity_present ||
-        group.data.size() + 1 !=
-            static_cast<std::size_t>(group.expected))
-        return;
-    std::vector<ParsedChunk> received;
-    received.reserve(group.data.size());
-    for (const auto &[seq, chunk] : group.data)
-        received.push_back(chunk);
-    std::optional<ParsedChunk> rebuilt =
-        recoverFecChunk(received, group.parity);
+    std::optional<std::vector<ParsedChunk>> rebuilt =
+        recoverRsChunks(group.expected, group.data,
+                        group.parity_rows);
     if (!rebuilt.has_value())
         return;
     group.recovered = true;
-    ++recovered_chunks_;
-    bufferSliceLocked(*rebuilt);
+    recovered_chunks_ += rebuilt->size();
+    for (const ParsedChunk &chunk : *rebuilt)
+        bufferSliceLocked(chunk);
 }
 
 WireScanStats
@@ -128,36 +109,30 @@ StreamReceiver::ingest(const std::vector<std::uint8_t> &wire)
     std::vector<ParsedChunk> chunks = scanWire(wire, &stats);
     MutexLock lock(mutex_);
     for (ParsedChunk &chunk : chunks) {
-        if (chunk.header.isParity()) {
-            FecGroup &group = groups_[chunk.header.fec_group];
-            if (chunk.header.isRsFec()) {
-                group.rs = true;
-                // Parity row index from the fec_seq encoding
-                // (0xff, 0xfe, ...); first intact copy of each
-                // row wins.
-                group.parity_rows.emplace(
-                    rsParityRow(chunk.header.fec_seq),
-                    std::move(chunk.payload));
-            } else if (!group.parity_present) {
-                group.parity_present = true;
-                group.parity = std::move(chunk.payload);
-            }
-            if (group.expected == 0)
-                group.expected = chunk.header.fec_group_size;
-            tryRecoverLocked(group);
-            continue;
+        const ChunkHeader &header = chunk.header;
+        const bool parity = header.isParity();
+        if (!parity) {
+            bufferSliceLocked(chunk);
+            if ((header.flags & kChunkFlagFec) == 0)
+                continue;
         }
-        bufferSliceLocked(chunk);
-        if ((chunk.header.flags & kChunkFlagFec) != 0) {
-            FecGroup &group = groups_[chunk.header.fec_group];
-            if (chunk.header.isRsFec())
-                group.rs = true;
-            if (group.expected == 0)
-                group.expected = chunk.header.fec_group_size;
-            group.data.emplace(chunk.header.fec_seq,
-                               std::move(chunk));
-            tryRecoverLocked(group);
+        FecGroup &group =
+            groups_[{header.frame_id, header.fec_group}];
+        if (header.isRsFec())
+            group.rs = true;
+        if (group.expected == 0)
+            group.expected = header.fec_group_size;
+        if (parity) {
+            // XOR parity is row 0; RS rows decode from the fec_seq
+            // encoding (0xff, 0xfe, ...). First intact copy of
+            // each row wins.
+            group.parity_rows.emplace(
+                header.isRsFec() ? rsParityRow(header.fec_seq) : 0,
+                std::move(chunk.payload));
+        } else {
+            group.data.emplace(header.fec_seq, std::move(chunk));
         }
+        tryRecoverLocked(group);
     }
     wire_.bytes_scanned += stats.bytes_scanned;
     wire_.bytes_skipped += stats.bytes_skipped;
@@ -216,19 +191,19 @@ StreamReceiver::fecStats() const
     MutexLock lock(mutex_);
     FecStats stats;
     stats.recovered_chunks = recovered_chunks_;
-    for (const auto &[id, group] : groups_) {
+    for (const auto &[key, group] : groups_) {
         ++stats.groups;
         const std::size_t expected = group.expected;
         const std::size_t data_missing =
             expected > group.data.size()
                 ? expected - group.data.size()
                 : 0;
+        stats.parity_received += group.parity_rows.size();
         if (group.rs) {
-            stats.parity_received += group.parity_rows.size();
             // RS accounting keys off data losses alone (a lost
-            // parity row needs no recovery): one lost data chunk
-            // is a single-loss group, two or more are the
-            // multi-loss case XOR could never cover.
+            // parity row needs no recovery, and m is unknown here):
+            // one lost data chunk is a single-loss group, two or
+            // more are the multi-loss case XOR could never cover.
             if (data_missing == 1) {
                 ++stats.single_loss_groups;
                 if (group.recovered)
@@ -239,10 +214,10 @@ StreamReceiver::fecStats() const
                     ++stats.multi_loss_recovered;
             }
         } else {
-            if (group.parity_present)
-                ++stats.parity_received;
+            // XOR sends exactly one parity row, so a lost parity
+            // chunk is a loss of the group too.
             const std::size_t missing_total =
-                data_missing + (group.parity_present ? 0 : 1);
+                data_missing + (group.parity_rows.empty() ? 1 : 0);
             if (missing_total == 1) {
                 ++stats.single_loss_groups;
                 if (data_missing == 0 || group.recovered)
@@ -433,10 +408,6 @@ validateSessionConfig(const SessionConfig &config)
             return invalidArgument(
                 "SessionConfig: fec_interleave > 1 requires "
                 "fec.enabled");
-        if (config.adaptive_fec)
-            return invalidArgument(
-                "SessionConfig: adaptive_fec requires "
-                "fec.enabled");
     }
 
     if (config.fec_interleave < 1)
@@ -465,11 +436,6 @@ validateSessionConfig(const SessionConfig &config)
             return invalidArgument(
                 "SessionConfig: redundancy controller requires "
                 "fec.enabled with FecScheme::kReedSolomon");
-        if (config.adaptive_fec)
-            return invalidArgument(
-                "SessionConfig: adaptive_fec cannot stack under "
-                "the redundancy controller (it owns the FEC "
-                "geometry)");
         if (red.min_group_size < 2 ||
             red.max_group_size < red.min_group_size)
             return invalidArgument(
@@ -499,45 +465,58 @@ StreamSession::StreamSession(CodecConfig codec,
 {
 }
 
-Expected<SessionReport>
-StreamSession::run(const std::vector<VoxelCloud> &frames)
-{
-    if (frames.empty())
-        return invalidArgument("StreamSession::run: no frames");
-    if (Status valid = validateSessionConfig(session_);
-        !valid.isOk())
-        return valid;
+namespace {
 
-    ScopedTrace trace("session.run");
-    VideoEncoder encoder(codec_);
-    LossyChannel channel(session_.channel);
+/** Per-frame transport accounting attached after decodeAll. */
+struct FrameSendInfo {
+    int retransmits = 0;
+    int nack_rounds = 0;
+    std::uint64_t payload_bytes = 0;
+    std::uint64_t wire_bytes = 0;
+    double backoff_s = 0.0;
+    PipelineProfile encode_profile;
+};
+
+/** How one frame is coded and protected. */
+struct FramePlan {
+    /** GOP length for the encoder; nullopt leaves it alone. */
+    std::optional<int> gop_size;
+    int group_size = 0;   ///< FEC k; 0 without FEC
+    int parity_rows = 0;  ///< parity chunks per group: 1 for XOR
+    /** Reuse threshold (bitrate rung); negative leaves the codec
+     *  config alone. */
+    double reuse_threshold = -1.0;
+    bool force_keyframe = false;
+};
+
+/** Everything the steps of StreamSession::run share. */
+struct RunState {
+    RunState(const CodecConfig &codec_config,
+             const SessionConfig &session_config,
+             std::size_t frame_count)
+        : codec(codec_config), session(session_config),
+          sent(frame_count)
+    {
+    }
+
+    const CodecConfig &codec;
+    const SessionConfig &session;
+    std::vector<FrameSendInfo> sent;
+    VideoEncoder encoder{codec};
+    LossyChannel channel{session.channel};
     StreamReceiver receiver;
-    AdaptiveGopController gop(session_.gop, codec_.gop_size);
-    AdaptiveFecController fec_ctrl(session_.fec_adaptive,
-                                   session_.fec.group_size);
-    // Unified redundancy negotiation; supersedes the two stacked
-    // controllers above (and keyframe_on_loss) when enabled.
-    const bool redundancy_on = session_.redundancy.enabled;
-    RedundancyController redundancy(
-        session_.redundancy, codec_.gop_size,
-        codec_.block_match.reuse_threshold);
-
+    AdaptiveGopController gop{session.gop, codec.gop_size};
+    RedundancyController redundancy{
+        session.redundancy, codec.gop_size,
+        codec.block_match.reuse_threshold};
+    OverloadController ladder{session.overload};
+    const EdgeDeviceModel device_model{session.overload.device};
     SessionReport report;
-    report.stats = SessionStats{};
 
-    // Overload subsystem (inactive unless configured): the encode
+    // Overload ladder (inactive unless configured): the encode
     // "latency" is the modelled edge-device time of the recorded
     // profile scaled by the injected LoadSpec, so ladder walks are
     // deterministic and wall-clock free.
-    const bool overload_on = session_.overload.enabled;
-    OverloadController ladder_ctrl(session_.overload);
-    const EdgeDeviceModel device_model(session_.overload.device);
-    const double budget_s = ladder_ctrl.budgetSeconds();
-    const double fps = session_.overload.target_fps;
-    const LoadSpec &load = session_.overload.load;
-    OverloadStats &overload = report.overload;
-    overload.enabled = overload_on;
-    overload.deadline_s = overload_on ? budget_s : 0.0;
     double clock_s = 0.0;  ///< encoder-busy virtual time
     int applied_drop_bits = 0;
     OverloadRung applied_rung = OverloadRung::kFull;
@@ -547,25 +526,13 @@ StreamSession::run(const std::vector<VoxelCloud> &frames)
     std::uint32_t next_sequence = 0;
     std::uint32_t gop_id = 0;
     std::uint16_t next_fec_group = 0;
-    bool force_key = false;
-    // Channel-stat watermarks for the redundancy controller's
-    // per-frame loss/burst feedback (the deterministic stand-in
-    // for a receiver loss report).
-    std::size_t fb_sent = 0;
-    std::size_t fb_lost = 0;
-    std::size_t fb_bursts = 0;
-    std::size_t fb_burst_dropped = 0;
-
-    /** Per-frame transport accounting attached after decodeAll. */
-    struct FrameSendInfo {
-        int retransmits = 0;
-        int nack_rounds = 0;
-        std::uint64_t payload_bytes = 0;
-        std::uint64_t wire_bytes = 0;
-        double backoff_s = 0.0;
-        PipelineProfile encode_profile;
-    };
-    std::vector<FrameSendInfo> sent(frames.size());
+    /** An unrecovered loss re-anchors the next encoded frame (when
+     *  the redundancy controller is off; it has its own rule). */
+    bool loss_keyframe = false;
+    /** Channel stats at the last redundancy feedback: per-frame
+     *  deltas are the deterministic stand-in for a receiver loss
+     *  report. */
+    ChannelStats reported;
 
     // Zero-copy send path: payloads are views into the encoded
     // frame (or the parity scratch), serialized into one reusable
@@ -573,488 +540,442 @@ StreamSession::run(const std::vector<VoxelCloud> &frames)
     // between the encoder and the channel.
     std::vector<std::uint8_t> wire_buf;
     std::vector<std::uint8_t> parity_buf;
-    const auto sendChunk = [&](ChunkHeader header, ByteSpan payload,
-                               FrameSendInfo &info) {
-        header.sequence = next_sequence++;
-        serializeChunkInto(header, payload, wire_buf);
-        info.wire_bytes += wire_buf.size();
-        ++report.stats.chunks_sent;
-        for (const auto &arrival : channel.transmit(wire_buf))
-            receiver.ingest(arrival);
+};
+
+void
+sendChunk(RunState &st, ChunkHeader header, ByteSpan payload,
+          FrameSendInfo &info)
+{
+    header.sequence = st.next_sequence++;
+    serializeChunkInto(header, payload, st.wire_buf);
+    info.wire_bytes += st.wire_buf.size();
+    ++st.report.stats.chunks_sent;
+    for (const auto &arrival : st.channel.transmit(st.wire_buf))
+        st.receiver.ingest(arrival);
+}
+
+/**
+ * Admission under the overload subsystem (everything passes when it
+ * is off): oldest-drop queue backpressure on virtual time, injected
+ * allocation failures and the bottom (skip) rung. Fills in the
+ * frame's ladder record `slot` (rung and queue position) and
+ * returns false when the frame is shed: never encoded, never sent.
+ */
+bool
+admitFrame(RunState &st, OverloadFrame &slot, std::size_t frame_count)
+{
+    const OverloadConfig &config = st.session.overload;
+    OverloadStats &overload = st.report.overload;
+    slot.rung = st.ladder.rung();
+    if (!config.enabled)
+        return true;
+    const auto shed = [&](OverloadEvent event) {
+        OverloadFrame record = slot;
+        record.event = event;
+        overload.ladder.push_back(std::move(record));
     };
 
-    for (std::size_t f = 0; f < frames.size(); ++f) {
-        const auto frame_id32 = static_cast<std::uint32_t>(f);
-        double queue_delay_s = 0.0;
-        int queue_depth = 0;
-
-        if (overload_on && fps > 0.0) {
-            // Admission control on virtual time. Frame f is
-            // captured at f/fps; the encoder serves frames in
-            // order, so the arrived-unserved window is exactly
-            // [f, last_arrived]. Oldest-drop backpressure keeps
-            // the newest queue_capacity + 1 of them (stale frames
-            // are worthless in telepresence).
-            const double arrival = static_cast<double>(f) / fps;
-            if (clock_s < arrival)
-                clock_s = arrival;  // encoder idle until capture
-            const std::size_t last_arrived = std::min(
-                frames.size() - 1,
-                static_cast<std::size_t>(clock_s * fps + 1e-9));
-            queue_depth = static_cast<int>(last_arrived - f);
-            queue_delay_s = clock_s - arrival;
-            const std::size_t admitted =
-                static_cast<std::size_t>(std::max(
-                    session_.overload.queue_capacity, 0)) +
-                1;
-            if (last_arrived - f + 1 > admitted) {
-                OverloadFrame record;
-                record.frame_id = frame_id32;
-                record.rung = ladder_ctrl.rung();
-                record.event = OverloadEvent::kQueueDrop;
-                record.queue_delay_s = queue_delay_s;
-                record.queue_depth = queue_depth;
-                overload.ladder.push_back(std::move(record));
-                ++overload.queue_drops;
-                continue;  // never encoded, never sent
-            }
-        }
-
-        OverloadRung rung = ladder_ctrl.rung();
-        if (overload_on && load.allocFailsAt(frame_id32)) {
-            // Injected allocation failure: the encode entry point
-            // reports resource exhaustion via Status and the
-            // session sheds the frame instead of dying.
-            OverloadFrame record;
-            record.frame_id = frame_id32;
-            record.rung = rung;
-            record.event = OverloadEvent::kAllocFailure;
-            record.queue_delay_s = queue_delay_s;
-            record.queue_depth = queue_depth;
-            overload.ladder.push_back(std::move(record));
-            ++overload.alloc_failures;
-            ++overload.rung_occupancy[static_cast<int>(rung)];
-            continue;
-        }
-        if (overload_on && rung == OverloadRung::kSkip) {
-            // Bottom rung: shed the whole frame. Zero encode cost
-            // counts as headroom, so hysteresis climbs back out.
-            const OverloadEvent event = ladder_ctrl.onFrame(0.0);
-            OverloadFrame record;
-            record.frame_id = frame_id32;
-            record.rung = rung;
-            record.event = event;
-            record.queue_delay_s = queue_delay_s;
-            record.queue_depth = queue_depth;
-            overload.ladder.push_back(std::move(record));
-            ++overload.rung_occupancy[static_cast<int>(rung)];
-            ++overload.frames_skipped;
-            if (ladder_ctrl.rung() != rung)
-                ++overload.rung_transitions;
-            consecutive_misses = 0;
-            continue;
-        }
-
-        const VoxelCloud *input = &frames[f];
-        VoxelCloud coarse{frames[f].gridBits()};
-        if (overload_on) {
-            if (!applied_any_rung || rung != applied_rung) {
-                encoder.updateCoding(OverloadController::configForRung(
-                    codec_, rung, session_.overload));
-                applied_rung = rung;
-                applied_any_rung = true;
-            }
-            const int drop_bits =
-                rung >= OverloadRung::kCoarseGeometry
-                    ? session_.overload.coarse_drop_bits
-                    : 0;
-            if (drop_bits != applied_drop_bits) {
-                // The voxel grid changed; the prediction reference
-                // lives on the old grid, so re-anchor.
-                encoder.forceKeyframe();
-                applied_drop_bits = drop_bits;
-            }
-            if (drop_bits > 0) {
-                coarse = coarsenCloud(frames[f], drop_bits);
-                input = &coarse;
-            }
-        }
-
-        RedundancyDecision negotiated;
-        if (redundancy_on) {
-            negotiated = redundancy.decide();
-            if (negotiated.reuse_threshold >= 0.0) {
-                // Bitrate rung: steer P-frame payloads toward the
-                // post-parity budget. Re-applied every frame —
-                // the overload rung switch above replaces the
-                // codec config wholesale.
-                CodecConfig tuned =
-                    overload_on && applied_any_rung
-                        ? OverloadController::configForRung(
-                              codec_, applied_rung,
-                              session_.overload)
-                        : codec_;
-                tuned.block_match.reuse_threshold =
-                    negotiated.reuse_threshold;
-                encoder.updateCoding(tuned);
-            }
-            if (!overload_on || rung < OverloadRung::kInterOnly)
-                encoder.setGopSize(negotiated.gop_size);
-            if (redundancy.consumeForcedKeyframe())
-                force_key = true;
-        } else if (session_.adaptive_gop &&
-                   (!overload_on ||
-                    rung < OverloadRung::kInterOnly)) {
-            encoder.setGopSize(gop.gopSize());
-        }
-        if (force_key) {
-            encoder.forceKeyframe();
-            ++report.stats.keyframes_forced;
-            force_key = false;
-        }
-
-        auto encoded = encoder.encode(*input);
-        if (!encoded)
-            return encoded.status();
-
-        const Frame::Type type = encoded->stats.type;
-        if (type == Frame::Type::kIntra)
-            gop_id = frame_id32;
-
-        FrameSendInfo &info = sent[f];
-        info.payload_bytes = encoded->bitstream.size();
-        info.encode_profile = std::move(encoded->profile);
-
-        if (overload_on) {
-            // Effective encode latency: per-stage seconds from the
-            // configured budget source (modelled device time by
-            // default, measured host time in wall-clock mode),
-            // scaled by the injected load. The watchdog checks each
-            // stage against its soft-timeout share of the deadline
-            // before the frame total is judged.
-            const PipelineTiming timing =
-                device_model.evaluate(info.encode_profile);
-            const EffectiveLatency eff = effectiveEncodeLatency(
-                timing, session_.overload, frame_id32);
-            const double effective_s = eff.total_s;
-            const bool stalled =
-                budget_s > 0.0 &&
-                eff.worst_stage_s >
-                    budget_s *
-                        session_.overload.stage_soft_timeout_fraction;
-            const OverloadEvent event =
-                stalled ? ladder_ctrl.onStall(effective_s)
-                        : ladder_ctrl.onFrame(effective_s);
-            const bool missed =
-                budget_s > 0.0 && effective_s > budget_s;
-
-            OverloadFrame record;
-            record.frame_id = frame_id32;
-            record.rung = rung;
-            record.event = event;
-            record.encode_s = effective_s;
-            record.queue_delay_s = queue_delay_s;
-            record.deadline_missed = missed;
-            record.queue_depth = queue_depth;
-            if (stalled)
-                record.stalled_stage = eff.worst_stage;
-            overload.ladder.push_back(std::move(record));
-            ++overload.rung_occupancy[static_cast<int>(rung)];
-            overload.encode_latency_s.push_back(effective_s);
-            if (missed) {
-                ++overload.deadline_misses;
-                ++consecutive_misses;
-                overload.max_consecutive_misses =
-                    std::max(overload.max_consecutive_misses,
-                             consecutive_misses);
-            } else {
-                consecutive_misses = 0;
-            }
-            if (stalled)
-                ++overload.watchdog_stalls;
-            if (ladder_ctrl.rung() != rung)
-                ++overload.rung_transitions;
-            clock_s += effective_s;
-        }
-
-        ChunkHeader base;
-        base.frame_id = static_cast<std::uint32_t>(f);
-        base.gop_id = gop_id;
-        base.frame_type = type;
-
-        // Sub-frame slicing: one chunk per MTU payload so a bit
-        // flip costs a slice, not the frame. mtu_payload == 0
-        // reproduces the v1 one-chunk-per-frame wire byte for byte.
-        // Slices are views into encoded->bitstream, which stays
-        // alive (and unmodified) through the NACK rounds below.
-        std::vector<ChunkView> slices = sliceFramePayloadViews(
-            base, ByteSpan(encoded->bitstream),
-            session_.mtu_payload);
-
-        // Parity FEC: every group_size data chunks emit parity —
-        // one XOR chunk (single-loss recovery) or parity_rows RS
-        // rows (up to m losses). Groups never span frames, so the
-        // receiver can recover a loss before this frame's NACK
-        // check runs. The geometry is fixed (fec.group_size /
-        // parity_chunks), EWMA-driven (adaptive_fec), or negotiated
-        // by the redundancy controller.
-        const std::size_t group_size =
-            session_.fec.enabled
-                ? static_cast<std::size_t>(std::max(
-                      redundancy_on ? negotiated.group_size
-                      : session_.adaptive_fec
-                          ? fec_ctrl.groupSize()
-                          : session_.fec.group_size,
-                      1))
-                : 0;
-        const FecScheme scheme = session_.fec.scheme;
-        const int parity_rows =
-            scheme == FecScheme::kReedSolomon
-                ? std::max(redundancy_on
-                               ? negotiated.parity_chunks
-                               : session_.fec.parity_chunks,
-                           1)
-                : 1;
-        const std::uint8_t fec_flags = static_cast<std::uint8_t>(
-            kChunkFlagFec |
-            (scheme == FecScheme::kReedSolomon ? kChunkFlagRsFec
-                                               : 0));
-        const std::size_t lanes_cfg =
-            group_size != 0 && session_.fec_interleave > 1
-                ? static_cast<std::size_t>(session_.fec_interleave)
-                : 1;
-        if (lanes_cfg <= 1) {
-            for (std::size_t begin = 0; begin < slices.size();
-                 begin += group_size == 0 ? slices.size()
-                                          : group_size) {
-                const std::size_t end =
-                    group_size == 0
-                        ? slices.size()
-                        : std::min(begin + group_size,
-                                   slices.size());
-                if (group_size != 0) {
-                    const std::uint16_t group_id =
-                        next_fec_group++;
-                    const std::uint8_t count =
-                        static_cast<std::uint8_t>(end - begin);
-                    for (std::size_t i = begin; i < end; ++i) {
-                        slices[i].header.flags |= fec_flags;
-                        slices[i].header.fec_group = group_id;
-                        slices[i].header.fec_seq =
-                            static_cast<std::uint8_t>(i - begin);
-                        slices[i].header.fec_group_size = count;
-                    }
-                }
-                for (std::size_t i = begin; i < end; ++i)
-                    sendChunk(slices[i].header,
-                              slices[i].payload, info);
-                if (group_size != 0) {
-                    ChunkHeader parity = base;
-                    parity.flags = static_cast<std::uint8_t>(
-                        kChunkFlagParity | fec_flags);
-                    parity.fec_group =
-                        slices[begin].header.fec_group;
-                    parity.fec_group_size =
-                        slices[begin].header.fec_group_size;
-                    const std::vector<ChunkView> group(
-                        slices.begin() +
-                            static_cast<std::ptrdiff_t>(begin),
-                        slices.begin() +
-                            static_cast<std::ptrdiff_t>(end));
-                    if (scheme == FecScheme::kReedSolomon) {
-                        for (int row = 0; row < parity_rows;
-                             ++row) {
-                            parity.fec_seq = rsParitySeq(row);
-                            buildRsParityInto(group, row,
-                                              parity_buf);
-                            sendChunk(parity,
-                                      ByteSpan(parity_buf),
-                                      info);
-                            ++report.stats.parity_sent;
-                        }
-                    } else {
-                        parity.fec_seq = kFecParitySeq;
-                        buildFecParityInto(group, parity_buf);
-                        sendChunk(parity, ByteSpan(parity_buf),
-                                  info);
-                        ++report.stats.parity_sent;
-                    }
-                }
-            }
-        } else {
-            // Interleaved FEC: within each window of
-            // group_size * lanes slices, slice j joins group
-            // j % lanes. Consecutive wire chunks then belong to
-            // different groups, so a drop burst of up to `lanes`
-            // chunks costs each group at most one chunk — all
-            // recoverable from parity. The receiver is untouched:
-            // group membership travels in the chunk headers.
-            const std::size_t window = group_size * lanes_cfg;
-            for (std::size_t begin = 0; begin < slices.size();
-                 begin += window) {
-                const std::size_t end =
-                    std::min(begin + window, slices.size());
-                const std::size_t count = end - begin;
-                const std::size_t lanes =
-                    std::min(lanes_cfg, count);
-                const std::uint16_t base_group = next_fec_group;
-                next_fec_group = static_cast<std::uint16_t>(
-                    next_fec_group + lanes);
-                for (std::size_t i = begin; i < end; ++i) {
-                    const std::size_t j = i - begin;
-                    const std::size_t lane = j % lanes;
-                    const std::size_t lane_size =
-                        count / lanes +
-                        (lane < count % lanes ? 1 : 0);
-                    slices[i].header.flags |= fec_flags;
-                    slices[i].header.fec_group =
-                        static_cast<std::uint16_t>(base_group +
-                                                   lane);
-                    slices[i].header.fec_seq =
-                        static_cast<std::uint8_t>(j / lanes);
-                    slices[i].header.fec_group_size =
-                        static_cast<std::uint8_t>(lane_size);
-                }
-                for (std::size_t i = begin; i < end; ++i)
-                    sendChunk(slices[i].header,
-                              slices[i].payload, info);
-                for (std::size_t lane = 0; lane < lanes;
-                     ++lane) {
-                    std::vector<ChunkView> group;
-                    for (std::size_t j = lane; j < count;
-                         j += lanes)
-                        group.push_back(slices[begin + j]);
-                    ChunkHeader parity = base;
-                    parity.flags = static_cast<std::uint8_t>(
-                        kChunkFlagParity | fec_flags);
-                    parity.fec_group = static_cast<std::uint16_t>(
-                        base_group + lane);
-                    parity.fec_group_size =
-                        static_cast<std::uint8_t>(group.size());
-                    if (scheme == FecScheme::kReedSolomon) {
-                        for (int row = 0; row < parity_rows;
-                             ++row) {
-                            parity.fec_seq = rsParitySeq(row);
-                            buildRsParityInto(group, row,
-                                              parity_buf);
-                            sendChunk(parity,
-                                      ByteSpan(parity_buf),
-                                      info);
-                            ++report.stats.parity_sent;
-                        }
-                    } else {
-                        parity.fec_seq = kFecParitySeq;
-                        buildFecParityInto(group, parity_buf);
-                        sendChunk(parity, ByteSpan(parity_buf),
-                                  info);
-                        ++report.stats.parity_sent;
-                    }
-                }
-            }
-        }
-
-        // Bounded NACK rounds: each round resends only the slices
-        // still missing (after FEC recovery), with exponential
-        // backoff (modelled latency, no sleeping) from the shared
-        // RetryPolicy.
-        const RetryPolicy retry = session_.retransmitPolicy();
-        for (int round = 1; round <= session_.max_retransmits;
-             ++round) {
-            std::vector<std::size_t> missing;
-            for (std::size_t i = 0; i < slices.size(); ++i) {
-                if (!receiver.hasSlice(
-                        base.frame_id,
-                        slices[i].header.slice_index))
-                    missing.push_back(i);
-            }
-            if (missing.empty())
-                break;
-            ++info.nack_rounds;
-            const double backoff = retry.backoffFor(round);
-            info.backoff_s += backoff;
-            report.stats.backoff_s += backoff;
-            for (const std::size_t i : missing) {
-                ChunkHeader resend = slices[i].header;
-                resend.flags = static_cast<std::uint8_t>(
-                    (resend.flags & ~kChunkFlagFec) |
-                    kChunkFlagRetransmit);
-                // The original FEC group is already closed; a
-                // resent copy must not distort its accounting.
-                resend.fec_group = 0;
-                resend.fec_seq = 0;
-                resend.fec_group_size = 0;
-                ++report.stats.nacks;
-                ++report.stats.retransmits;
-                ++info.retransmits;
-                sendChunk(resend, slices[i].payload, info);
-            }
-        }
-        // Reorder-held copies may still surface later; the final
-        // flush below catches them, but delivery feedback uses the
-        // post-retry state (a held chunk is late, i.e. lost for
-        // latency purposes but still usable for decode).
-        const bool delivered = receiver.hasFrame(base.frame_id);
-        if (delivered) {
-            ++report.stats.frames_delivered;
-        } else {
-            ++report.stats.frames_lost;
-            // Unrecovered loss: re-anchor at the next frame so a
-            // lost I frame cannot poison the rest of its GOP.
-            // Under the redundancy controller that decision is
-            // its keyframe rule (unrecoverable loss only).
-            if (session_.keyframe_on_loss && !redundancy_on)
-                force_key = true;
-        }
-        if (redundancy_on) {
-            // Loss report from the channel-stat deltas of this
-            // frame's sends (data + parity + retransmits). Using
-            // channel truth — not post-recovery receiver state —
-            // keeps the burst estimate honest: losses the parity
-            // absorbed must still count, or m would decay and
-            // oscillate against the very bursts it covers.
-            const ChannelStats &ch = channel.stats();
-            const std::size_t sent_d = ch.chunks_in - fb_sent;
-            const std::size_t lost_now =
-                ch.dropped + ch.truncated + ch.bit_flipped;
-            const std::size_t lost_d = lost_now - fb_lost;
-            const std::size_t bursts_d = ch.bursts - fb_bursts;
-            const std::size_t burst_drop_d =
-                ch.burst_dropped - fb_burst_dropped;
-            fb_sent = ch.chunks_in;
-            fb_lost = lost_now;
-            fb_bursts = ch.bursts;
-            fb_burst_dropped = ch.burst_dropped;
-            const int max_burst =
-                bursts_d > 0
-                    ? static_cast<int>(
-                          (burst_drop_d + bursts_d - 1) /
-                          bursts_d)
-                    : (lost_d > 0 ? 1 : 0);
-            redundancy.onFrameFeedback(
-                static_cast<int>(sent_d),
-                static_cast<int>(lost_d), max_burst, delivered);
-            redundancy.onEncodedFrame(type, info.payload_bytes);
-        } else {
-            if (session_.adaptive_gop || session_.adaptive_fec)
-                gop.onFrameDelivery(delivered);
-            if (session_.adaptive_fec)
-                fec_ctrl.onLossEstimate(gop.estimatedLoss(),
-                                        delivered);
+    const double fps = config.target_fps;
+    if (fps > 0.0) {
+        // Frame f is captured at f/fps; the encoder serves frames
+        // in order, so the arrived-unserved window is exactly
+        // [f, last_arrived]. Oldest-drop backpressure keeps the
+        // newest queue_capacity + 1 of them (stale frames are
+        // worthless in telepresence).
+        const double arrival =
+            static_cast<double>(slot.frame_id) / fps;
+        if (st.clock_s < arrival)
+            st.clock_s = arrival;  // encoder idle until capture
+        const std::size_t last_arrived = std::min(
+            frame_count - 1,
+            static_cast<std::size_t>(st.clock_s * fps + 1e-9));
+        slot.queue_depth =
+            static_cast<int>(last_arrived - slot.frame_id);
+        slot.queue_delay_s = st.clock_s - arrival;
+        const std::size_t admitted =
+            static_cast<std::size_t>(
+                std::max(config.queue_capacity, 0)) +
+            1;
+        if (last_arrived - slot.frame_id + 1 > admitted) {
+            shed(OverloadEvent::kQueueDrop);
+            ++overload.queue_drops;
+            return false;
         }
     }
+    if (config.load.allocFailsAt(slot.frame_id)) {
+        // Injected allocation failure: the encode entry point
+        // reports resource exhaustion via Status and the session
+        // sheds the frame instead of dying.
+        shed(OverloadEvent::kAllocFailure);
+        ++overload.alloc_failures;
+        ++overload.rung_occupancy[static_cast<int>(slot.rung)];
+        return false;
+    }
+    if (slot.rung == OverloadRung::kSkip) {
+        // Bottom rung: shed the whole frame. Zero encode cost
+        // counts as headroom, so hysteresis climbs back out.
+        shed(st.ladder.onFrame(0.0));
+        ++overload.rung_occupancy[static_cast<int>(slot.rung)];
+        ++overload.frames_skipped;
+        if (st.ladder.rung() != slot.rung)
+            ++overload.rung_transitions;
+        st.consecutive_misses = 0;
+        return false;
+    }
+    return true;
+}
 
-    for (const auto &arrival : channel.flush())
-        receiver.ingest(arrival);
+/**
+ * The frame's plan (GOP, FEC k and m, reuse threshold, forced
+ * keyframe) from the one controller in charge: the redundancy
+ * controller when enabled, otherwise the fixed FEC config plus
+ * AdaptiveGopController and a keyframe after an unrecovered loss.
+ */
+FramePlan
+planFrame(RunState &st)
+{
+    const SessionConfig &session = st.session;
+    FramePlan plan;
+    if (session.redundancy.enabled) {
+        const RedundancyDecision negotiated = st.redundancy.decide();
+        plan.gop_size = negotiated.gop_size;
+        plan.group_size = negotiated.group_size;
+        plan.parity_rows = negotiated.parity_chunks;
+        plan.reuse_threshold = negotiated.reuse_threshold;
+        plan.force_keyframe = st.redundancy.consumeForcedKeyframe();
+    } else {
+        if (session.adaptive_gop)
+            plan.gop_size = st.gop.gopSize();
+        plan.group_size = session.fec.group_size;
+        plan.parity_rows = session.fec.parity_chunks;
+        plan.force_keyframe = st.loss_keyframe;
+        st.loss_keyframe = false;
+    }
+    plan.group_size =
+        session.fec.enabled ? std::max(plan.group_size, 1) : 0;
+    plan.parity_rows =
+        session.fec.scheme == FecScheme::kReedSolomon
+            ? std::max(plan.parity_rows, 1)
+            : 1;
+    return plan;
+}
 
-    overload.frames = overload.ladder.size();
+/**
+ * Books one encode on the ladder: per-stage seconds from the
+ * configured budget source (modelled device time by default,
+ * measured host time in wall-clock mode), scaled by the injected
+ * load. The watchdog checks each stage against its soft-timeout
+ * share of the deadline before the frame total is judged.
+ */
+void
+bookEncodeLatency(RunState &st, const OverloadFrame &slot,
+                  const PipelineProfile &profile)
+{
+    const OverloadConfig &config = st.session.overload;
+    OverloadStats &overload = st.report.overload;
+    const double budget_s = st.ladder.budgetSeconds();
+    const EffectiveLatency eff = effectiveEncodeLatency(
+        st.device_model.evaluate(profile), config, slot.frame_id);
+    const double effective_s = eff.total_s;
+    const bool stalled =
+        budget_s > 0.0 &&
+        eff.worst_stage_s >
+            budget_s * config.stage_soft_timeout_fraction;
+    const OverloadEvent event = stalled
+                                    ? st.ladder.onStall(effective_s)
+                                    : st.ladder.onFrame(effective_s);
+    const bool missed = budget_s > 0.0 && effective_s > budget_s;
 
-    report.frames = receiver.decodeAll(
-        static_cast<std::uint32_t>(frames.size()));
-    report.wire = receiver.wireStats();
-    report.fec = receiver.fecStats();
+    OverloadFrame record = slot;
+    record.event = event;
+    record.encode_s = effective_s;
+    record.deadline_missed = missed;
+    if (stalled)
+        record.stalled_stage = eff.worst_stage;
+    overload.ladder.push_back(std::move(record));
+    ++overload.rung_occupancy[static_cast<int>(slot.rung)];
+    overload.encode_latency_s.push_back(effective_s);
+    if (missed) {
+        ++overload.deadline_misses;
+        ++st.consecutive_misses;
+        overload.max_consecutive_misses = std::max(
+            overload.max_consecutive_misses, st.consecutive_misses);
+    } else {
+        st.consecutive_misses = 0;
+    }
+    if (stalled)
+        ++overload.watchdog_stalls;
+    if (st.ladder.rung() != slot.rung)
+        ++overload.rung_transitions;
+    st.clock_s += effective_s;
+}
+
+/**
+ * Encodes one admitted frame: switches the encoder to the ladder
+ * rung's coding (re-anchoring when the voxel grid changes), applies
+ * the plan, encodes, and books the encode latency on the ladder.
+ */
+Expected<EncodedFrame>
+encodeFrame(RunState &st, const OverloadFrame &slot,
+            const VoxelCloud &frame, const FramePlan &plan)
+{
+    const OverloadConfig &overload = st.session.overload;
+    VideoEncoder &encoder = st.encoder;
+    const VoxelCloud *input = &frame;
+    VoxelCloud coarse{frame.gridBits()};
+    if (overload.enabled) {
+        if (!st.applied_any_rung || slot.rung != st.applied_rung) {
+            encoder.updateCoding(OverloadController::configForRung(
+                st.codec, slot.rung, overload));
+            st.applied_rung = slot.rung;
+            st.applied_any_rung = true;
+        }
+        const int drop_bits =
+            slot.rung >= OverloadRung::kCoarseGeometry
+                ? overload.coarse_drop_bits
+                : 0;
+        if (drop_bits != st.applied_drop_bits) {
+            // The voxel grid changed; the prediction reference
+            // lives on the old grid, so re-anchor.
+            encoder.forceKeyframe();
+            st.applied_drop_bits = drop_bits;
+        }
+        if (drop_bits > 0) {
+            coarse = coarsenCloud(frame, drop_bits);
+            input = &coarse;
+        }
+    }
+    if (plan.reuse_threshold >= 0.0) {
+        // Bitrate rung: steer P-frame payloads toward the
+        // post-parity budget. Re-applied every frame — the rung
+        // switch above replaces the codec config wholesale.
+        CodecConfig tuned = overload.enabled
+                                ? OverloadController::configForRung(
+                                      st.codec, slot.rung, overload)
+                                : st.codec;
+        tuned.block_match.reuse_threshold = plan.reuse_threshold;
+        encoder.updateCoding(tuned);
+    }
+    // Rungs from kInterOnly down pin their own GOP.
+    if (plan.gop_size.has_value() &&
+        (!overload.enabled || slot.rung < OverloadRung::kInterOnly))
+        encoder.setGopSize(*plan.gop_size);
+    if (plan.force_keyframe) {
+        encoder.forceKeyframe();
+        ++st.report.stats.keyframes_forced;
+    }
+
+    auto encoded = encoder.encode(*input);
+    if (encoded && overload.enabled)
+        bookEncodeLatency(st, slot, encoded->profile);
+    return encoded;
+}
+
+/** Sends one group's parity: `rows` rows, i.e. row 0 alone (the
+ *  XOR) for XOR FEC and m rows for Reed-Solomon. */
+void
+sendParity(RunState &st, const ChunkHeader &base,
+           const std::vector<ChunkView> &group,
+           std::uint8_t fec_flags, int rows, FrameSendInfo &info)
+{
+    ChunkHeader parity = base;
+    parity.flags =
+        static_cast<std::uint8_t>(kChunkFlagParity | fec_flags);
+    parity.fec_group = group.front().header.fec_group;
+    parity.fec_group_size = static_cast<std::uint8_t>(group.size());
+    for (int row = 0; row < rows; ++row) {
+        parity.fec_seq = rsParitySeq(row);
+        buildRsParityInto(group, row, st.parity_buf);
+        sendChunk(st, parity, ByteSpan(st.parity_buf), info);
+        ++st.report.stats.parity_sent;
+    }
+}
+
+/**
+ * Slices the frame (one chunk per MTU payload, so a bit flip costs
+ * a slice, not the frame; mtu_payload == 0 reproduces the v1
+ * one-chunk-per-frame wire byte for byte) and sends it with its
+ * FEC parity.
+ *
+ * Within each window of k * lanes slices, slice j joins group
+ * j % lanes, and the window's data chunks go out before its
+ * groups' parity. Consecutive wire chunks then belong to different
+ * groups, so a drop burst of up to `lanes` chunks costs each group
+ * at most one chunk; one lane is the contiguous grouping. Groups
+ * never span frames, so the receiver can recover a loss before this
+ * frame's NACK check runs, and it needs no interleave setting:
+ * group membership travels in the chunk headers.
+ *
+ * Returns the slices, views into `bitstream`, for the NACK rounds.
+ */
+std::vector<ChunkView>
+sendFrame(RunState &st, const ChunkHeader &base, ByteSpan bitstream,
+          const FramePlan &plan, FrameSendInfo &info)
+{
+    std::vector<ChunkView> slices = sliceFramePayloadViews(
+        base, bitstream, st.session.mtu_payload);
+    if (plan.group_size == 0) {
+        for (const ChunkView &slice : slices)
+            sendChunk(st, slice.header, slice.payload, info);
+        return slices;
+    }
+
+    const std::uint8_t fec_flags = static_cast<std::uint8_t>(
+        kChunkFlagFec |
+        (st.session.fec.scheme == FecScheme::kReedSolomon
+             ? kChunkFlagRsFec
+             : 0));
+    const auto lanes_cfg = static_cast<std::size_t>(
+        std::max(st.session.fec_interleave, 1));
+    const std::size_t window =
+        static_cast<std::size_t>(plan.group_size) * lanes_cfg;
+    std::vector<ChunkView> group;
+    for (std::size_t begin = 0; begin < slices.size();
+         begin += window) {
+        const std::size_t count =
+            std::min(window, slices.size() - begin);
+        const std::size_t lanes = std::min(lanes_cfg, count);
+        const std::uint16_t base_group = st.next_fec_group;
+        st.next_fec_group =
+            static_cast<std::uint16_t>(st.next_fec_group + lanes);
+        for (std::size_t j = 0; j < count; ++j) {
+            const std::size_t lane = j % lanes;
+            ChunkHeader &header = slices[begin + j].header;
+            header.flags |= fec_flags;
+            header.fec_group =
+                static_cast<std::uint16_t>(base_group + lane);
+            header.fec_seq = static_cast<std::uint8_t>(j / lanes);
+            header.fec_group_size = static_cast<std::uint8_t>(
+                count / lanes + (lane < count % lanes ? 1 : 0));
+        }
+        for (std::size_t j = 0; j < count; ++j)
+            sendChunk(st, slices[begin + j].header,
+                      slices[begin + j].payload, info);
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+            group.clear();
+            for (std::size_t j = lane; j < count; j += lanes)
+                group.push_back(slices[begin + j]);
+            sendParity(st, base, group, fec_flags, plan.parity_rows,
+                       info);
+        }
+    }
+    return slices;
+}
+
+/**
+ * Bounded NACK rounds: each round resends only the slices still
+ * missing (after FEC recovery), with exponential backoff (modelled
+ * latency, no sleeping) from the shared RetryPolicy.
+ */
+void
+runNackRounds(RunState &st, const std::vector<ChunkView> &slices,
+              FrameSendInfo &info)
+{
+    SessionStats &stats = st.report.stats;
+    const RetryPolicy retry = st.session.retransmitPolicy();
+    std::vector<std::size_t> missing;
+    for (int round = 1; round <= st.session.max_retransmits;
+         ++round) {
+        missing.clear();
+        for (std::size_t i = 0; i < slices.size(); ++i) {
+            if (!st.receiver.hasSlice(slices[i].header.frame_id,
+                                      slices[i].header.slice_index))
+                missing.push_back(i);
+        }
+        if (missing.empty())
+            break;
+        ++info.nack_rounds;
+        const double backoff = retry.backoffFor(round);
+        info.backoff_s += backoff;
+        stats.backoff_s += backoff;
+        for (const std::size_t i : missing) {
+            ChunkHeader resend = slices[i].header;
+            resend.flags = static_cast<std::uint8_t>(
+                (resend.flags & ~kChunkFlagFec) |
+                kChunkFlagRetransmit);
+            // The original FEC group is already closed; a resent
+            // copy must not distort its accounting.
+            resend.fec_group = 0;
+            resend.fec_seq = 0;
+            resend.fec_group_size = 0;
+            ++stats.nacks;
+            ++stats.retransmits;
+            ++info.retransmits;
+            sendChunk(st, resend, slices[i].payload, info);
+        }
+    }
+}
+
+/**
+ * Feeds the frame's delivery back to the controller in charge.
+ * Reorder-held copies may still surface later; the final flush
+ * catches them, but delivery feedback uses the post-retry state (a
+ * held chunk is late, i.e. lost for latency purposes but still
+ * usable for decode).
+ */
+void
+feedBack(RunState &st, std::uint32_t frame_id, Frame::Type type,
+         std::uint64_t payload_bytes)
+{
+    const bool delivered = st.receiver.hasFrame(frame_id);
+    if (delivered)
+        ++st.report.stats.frames_delivered;
+    else
+        ++st.report.stats.frames_lost;
+    if (!st.session.redundancy.enabled) {
+        // Unrecovered loss: re-anchor at the next frame so a lost
+        // I frame cannot poison the rest of its GOP.
+        if (!delivered)
+            st.loss_keyframe = true;
+        if (st.session.adaptive_gop)
+            st.gop.onFrameDelivery(delivered);
+        return;
+    }
+    // Loss report from the channel-stat deltas of this frame's
+    // sends (data + parity + retransmits). Using channel truth —
+    // not post-recovery receiver state — keeps the burst estimate
+    // honest: losses the parity absorbed must still count, or m
+    // would decay and oscillate against the very bursts it covers.
+    const ChannelStats &ch = st.channel.stats();
+    const ChannelStats &was = st.reported;
+    const std::size_t sent_d = ch.chunks_in - was.chunks_in;
+    const std::size_t lost_d =
+        (ch.dropped + ch.truncated + ch.bit_flipped) -
+        (was.dropped + was.truncated + was.bit_flipped);
+    const std::size_t bursts_d = ch.bursts - was.bursts;
+    const std::size_t burst_drop_d =
+        ch.burst_dropped - was.burst_dropped;
+    st.reported = ch;
+    const int max_burst =
+        bursts_d > 0
+            ? static_cast<int>((burst_drop_d + bursts_d - 1) /
+                               bursts_d)
+            : (lost_d > 0 ? 1 : 0);
+    st.redundancy.onFrameFeedback(static_cast<int>(sent_d),
+                                  static_cast<int>(lost_d),
+                                  max_burst, delivered);
+    st.redundancy.onEncodedFrame(type, payload_bytes);
+}
+
+/** Drains the channel, runs the receiver's degradation ladder and
+ *  attaches each frame's send accounting. */
+SessionReport
+finishRun(RunState &st, std::uint32_t frame_count)
+{
+    for (const auto &arrival : st.channel.flush())
+        st.receiver.ingest(arrival);
+
+    SessionReport &report = st.report;
+    report.overload.enabled = st.session.overload.enabled;
+    report.overload.deadline_s =
+        report.overload.enabled ? st.ladder.budgetSeconds() : 0.0;
+    report.overload.frames = report.overload.ladder.size();
+    report.frames = st.receiver.decodeAll(frame_count);
+    report.wire = st.receiver.wireStats();
+    report.fec = st.receiver.fecStats();
 
     for (SessionFrame &frame : report.frames) {
-        FrameSendInfo &info = sent[frame.frame_id];
+        FrameSendInfo &info = st.sent[frame.frame_id];
         frame.retransmits = info.retransmits;
         frame.nack_rounds = info.nack_rounds;
         frame.payload_bytes = info.payload_bytes;
@@ -1077,7 +998,51 @@ StreamSession::run(const std::vector<VoxelCloud> &frames)
             break;
         }
     }
-    return report;
+    return std::move(report);
+}
+
+}  // namespace
+
+Expected<SessionReport>
+StreamSession::run(const std::vector<VoxelCloud> &frames)
+{
+    if (frames.empty())
+        return invalidArgument("StreamSession::run: no frames");
+    if (Status valid = validateSessionConfig(session_);
+        !valid.isOk())
+        return valid;
+
+    ScopedTrace trace("session.run");
+    RunState st(codec_, session_, frames.size());
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+        OverloadFrame slot;
+        slot.frame_id = static_cast<std::uint32_t>(f);
+        if (!admitFrame(st, slot, frames.size()))
+            continue;
+        const FramePlan plan = planFrame(st);
+        auto encoded = encodeFrame(st, slot, frames[f], plan);
+        if (!encoded)
+            return encoded.status();
+
+        const Frame::Type type = encoded->stats.type;
+        if (type == Frame::Type::kIntra)
+            st.gop_id = slot.frame_id;
+        FrameSendInfo &info = st.sent[f];
+        info.payload_bytes = encoded->bitstream.size();
+        info.encode_profile = std::move(encoded->profile);
+
+        ChunkHeader base;
+        base.frame_id = slot.frame_id;
+        base.gop_id = st.gop_id;
+        base.frame_type = type;
+        // The slices view encoded->bitstream, which stays alive
+        // (and unmodified) through the NACK rounds.
+        const std::vector<ChunkView> slices = sendFrame(
+            st, base, ByteSpan(encoded->bitstream), plan, info);
+        runNackRounds(st, slices, info);
+        feedBack(st, slot.frame_id, type, info.payload_bytes);
+    }
+    return finishRun(st, static_cast<std::uint32_t>(frames.size()));
 }
 
 }  // namespace edgepcc

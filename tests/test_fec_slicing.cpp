@@ -12,13 +12,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "edgepcc/common/crc32c.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/stream/chunk_stream.h"
 #include "edgepcc/stream/lossy_channel.h"
 #include "edgepcc/stream/pipeline.h"
+#include "edgepcc/stream/rs_fec.h"
 #include "edgepcc/stream/stream_session.h"
 
 namespace edgepcc {
@@ -68,6 +74,26 @@ makeDataChunk(std::uint8_t fec_seq, std::size_t payload_size,
     chunk.header.fec_group_size = group_size;
     chunk.payload = patternPayload(payload_size, fec_seq);
     return chunk;
+}
+
+/** Send-side views over owned chunks (payloads stay in `group`). */
+std::vector<ChunkView>
+views(const std::vector<ParsedChunk> &group)
+{
+    std::vector<ChunkView> out;
+    out.reserve(group.size());
+    for (const ParsedChunk &chunk : group)
+        out.push_back({chunk.header, ByteSpan(chunk.payload)});
+    return out;
+}
+
+/** XOR parity of a group: Reed-Solomon parity row 0. */
+std::vector<std::uint8_t>
+xorParity(const std::vector<ParsedChunk> &group)
+{
+    std::vector<std::uint8_t> parity;
+    buildRsParityInto(views(group), 0, parity);
+    return parity;
 }
 
 // -----------------------------------------------------------------
@@ -259,7 +285,7 @@ TEST(Slicing, BitFlipCostsOneSlice)
 }
 
 // -----------------------------------------------------------------
-// XOR-parity FEC reconstruction
+// XOR-parity FEC reconstruction (Reed-Solomon with m = 1)
 // -----------------------------------------------------------------
 
 TEST(Fec, RecoversEachChunkInTurn)
@@ -269,28 +295,29 @@ TEST(Fec, RecoversEachChunkInTurn)
         makeDataChunk(1, 150),  // shorter than the longest
         makeDataChunk(2, 220),
     };
-    const auto parity = buildFecParity(group);
+    const std::map<int, std::vector<std::uint8_t>> parity = {
+        {0, xorParity(group)}};
     for (std::size_t lost = 0; lost < group.size(); ++lost) {
-        std::vector<ParsedChunk> received;
+        std::map<std::uint8_t, ParsedChunk> received;
         for (std::size_t i = 0; i < group.size(); ++i) {
             if (i != lost)
-                received.push_back(group[i]);
+                received.emplace(group[i].header.fec_seq, group[i]);
         }
-        const auto rebuilt = recoverFecChunk(received, parity);
+        const auto rebuilt = recoverRsChunks(3, received, parity);
         ASSERT_TRUE(rebuilt.has_value()) << "lost " << lost;
-        EXPECT_EQ(rebuilt->header.frame_id,
+        ASSERT_EQ(rebuilt->size(), 1u);
+        const ParsedChunk &chunk = rebuilt->front();
+        EXPECT_EQ(chunk.header.frame_id,
                   group[lost].header.frame_id);
-        EXPECT_EQ(rebuilt->header.gop_id,
-                  group[lost].header.gop_id);
-        EXPECT_EQ(rebuilt->header.slice_index,
+        EXPECT_EQ(chunk.header.gop_id, group[lost].header.gop_id);
+        EXPECT_EQ(chunk.header.slice_index,
                   group[lost].header.slice_index);
-        EXPECT_EQ(rebuilt->header.slice_count,
+        EXPECT_EQ(chunk.header.slice_count,
                   group[lost].header.slice_count);
-        EXPECT_EQ(rebuilt->header.frame_type,
+        EXPECT_EQ(chunk.header.frame_type,
                   group[lost].header.frame_type);
-        EXPECT_EQ(rebuilt->header.fec_seq,
-                  group[lost].header.fec_seq);
-        EXPECT_EQ(rebuilt->payload, group[lost].payload);
+        EXPECT_EQ(chunk.header.fec_seq, group[lost].header.fec_seq);
+        EXPECT_EQ(chunk.payload, group[lost].payload);
     }
 }
 
@@ -301,11 +328,11 @@ TEST(Fec, TwoLossesRejected)
         makeDataChunk(1, 150),
         makeDataChunk(2, 220),
     };
-    const auto parity = buildFecParity(group);
-    // Only one survivor: the XOR residue mixes two records and the
-    // trailing-zero check must refuse to fabricate data.
-    EXPECT_FALSE(
-        recoverFecChunk({group[0]}, parity).has_value());
+    // Only one survivor: two erasures against one parity row must
+    // be refused, never fabricated.
+    EXPECT_FALSE(recoverRsChunks(3, {{0, group[0]}},
+                                 {{0, xorParity(group)}})
+                     .has_value());
 }
 
 /** Receiver-level: parity chunk itself lost. The data is complete,
@@ -343,7 +370,7 @@ TEST(Fec, ReceiverRecoversFromParity)
     parity_header.flags = kChunkFlagParity | kChunkFlagFec;
     parity_header.slice_index = 0;
     parity_header.fec_seq = kFecParitySeq;
-    const auto parity = buildFecParity(group);
+    const auto parity = xorParity(group);
 
     StreamReceiver receiver;
     receiver.ingest(
@@ -374,7 +401,7 @@ TEST(Fec, ReceiverTwoLossesFallBackToNack)
     ChunkHeader parity_header = group[0].header;
     parity_header.flags = kChunkFlagParity | kChunkFlagFec;
     parity_header.fec_seq = kFecParitySeq;
-    const auto parity = buildFecParity(group);
+    const auto parity = xorParity(group);
 
     StreamReceiver receiver;
     receiver.ingest(
@@ -399,7 +426,7 @@ TEST(Fec, FinalPartialGroupRecovers)
     ChunkHeader parity_header = group[0].header;
     parity_header.flags = kChunkFlagParity | kChunkFlagFec;
     parity_header.fec_seq = kFecParitySeq;
-    const auto parity = buildFecParity(group);
+    const auto parity = xorParity(group);
 
     StreamReceiver receiver;
     receiver.ingest(serializeChunk(parity_header, parity));
@@ -408,6 +435,43 @@ TEST(Fec, FinalPartialGroupRecovers)
     const FecStats stats = receiver.fecStats();
     EXPECT_EQ(stats.recovered_chunks, 1u);
     EXPECT_TRUE(receiver.hasSlice(5, 0));
+}
+
+/** The sender's u16 group id wraps after 65,536 groups (about 70 s
+ *  of a 100k-point stream), so two frames can carry the same id. A
+ *  group is only ever a group within one frame: the second frame's
+ *  loss must still be rebuilt from its own parity, not merged into
+ *  the first frame's finished group. */
+TEST(Fec, GroupIdReusedAcrossFramesStillRecovers)
+{
+    StreamReceiver receiver;
+    for (std::uint32_t frame = 0; frame < 2; ++frame) {
+        std::vector<ParsedChunk> group = {
+            makeDataChunk(0, 120),
+            makeDataChunk(1, 200),
+            makeDataChunk(2, 90),
+        };
+        for (ParsedChunk &chunk : group)
+            chunk.header.frame_id = frame;
+        ChunkHeader parity_header = group[0].header;
+        parity_header.flags = kChunkFlagParity | kChunkFlagFec;
+        parity_header.fec_seq = rsParitySeq(0);
+        const std::vector<std::uint8_t> parity = xorParity(group);
+        for (const ParsedChunk &chunk : group) {
+            // Frame 1 loses its middle slice.
+            if (frame == 1 && chunk.header.fec_seq == 1)
+                continue;
+            receiver.ingest(
+                serializeChunk(chunk.header, chunk.payload));
+        }
+        receiver.ingest(serializeChunk(parity_header, parity));
+    }
+    EXPECT_TRUE(receiver.hasFrame(0));
+    EXPECT_TRUE(receiver.hasFrame(1));
+    const FecStats stats = receiver.fecStats();
+    EXPECT_EQ(stats.groups, 2u);
+    EXPECT_EQ(stats.recovered_chunks, 1u);
+    EXPECT_EQ(stats.unrecovered_groups, 0u);
 }
 
 // -----------------------------------------------------------------
@@ -720,6 +784,208 @@ TEST(SessionRsFec, CleanChannelSendsParityOnly)
     EXPECT_EQ(report->fec.recovered_chunks, 0u);
     EXPECT_EQ(report->stats.retransmits, 0u);
     EXPECT_EQ(report->stats.frames_ok, frames.size());
+}
+
+// -----------------------------------------------------------------
+// Wire fingerprints
+// -----------------------------------------------------------------
+
+/** Every observable count of a session on one line, so a pin
+ *  mismatch shows the whole difference at once. */
+std::string
+fingerprint(const SessionReport &report)
+{
+    const SessionStats &s = report.stats;
+    const FecStats &fec = report.fec;
+    const WireScanStats &w = report.wire;
+    std::ostringstream out;
+    out << "sent " << s.chunks_sent << " parity " << s.parity_sent
+        << " delivered " << s.frames_delivered << " lost "
+        << s.frames_lost << " nacks " << s.nacks << " retx "
+        << s.retransmits << " keys " << s.keyframes_forced
+        << " ok " << s.frames_ok << " resynced "
+        << s.frames_resynced << " concealed " << s.frames_concealed
+        << " skipped " << s.frames_skipped << " wire "
+        << s.wire_bytes << " backoff_us "
+        << std::llround(s.backoff_s * 1e6) << " | groups "
+        << fec.groups << " parity_rx " << fec.parity_received
+        << " recovered " << fec.recovered_chunks << " single "
+        << fec.single_loss_recovered << "/" << fec.single_loss_groups
+        << " multi " << fec.multi_loss_recovered << "/"
+        << fec.multi_loss_groups << " unrecovered "
+        << fec.unrecovered_groups << " | scanned " << w.bytes_scanned
+        << " skipped " << w.bytes_skipped << " ok " << w.chunks_ok
+        << " bad_crc " << w.chunks_bad_crc << " truncated "
+        << w.chunks_truncated << " | frames";
+    for (const SessionFrame &frame : report.frames)
+        out << " " << frame.wire_bytes
+            << frameOutcomeName(frame.outcome)[0];
+    return out.str();
+}
+
+struct PinnedSession {
+    const char *name;
+    SessionConfig config;
+    const char *expected;
+};
+
+/**
+ * Safety net for the send path: eight seeded 12-frame sessions
+ * (no FEC, XOR contiguous and interleaved, Reed-Solomon fixed and
+ * negotiated) with every counter, every frame's wire size and
+ * outcome pinned to the values of the wire that had a separate XOR
+ * algebra and two group-emission loops. No field may move: the
+ * only wire bytes allowed to differ from that wire are
+ * Reed-Solomon parity payloads, which no count here can see.
+ */
+TEST(SessionFec, WireFingerprintsPinned)
+{
+    // XOR parity known answer over a group with unequal payload
+    // lengths: Reed-Solomon row 0 must be the plain XOR of the
+    // records, byte for byte.
+    const std::vector<ParsedChunk> group = {
+        makeDataChunk(0, 200),
+        makeDataChunk(1, 150),
+        makeDataChunk(2, 220),
+    };
+    const std::vector<std::uint8_t> parity = xorParity(group);
+    EXPECT_EQ(parity.size(), kFecRecordPrefixBytes + 220);
+    EXPECT_EQ(crc32c(parity), 0x4d44ef75u);
+
+    const auto frames = testVideo(12, 91, 3000);
+    SessionConfig sliced;
+    sliced.mtu_payload = 300;
+    SessionConfig xor_fec = sliced;
+    xor_fec.fec.enabled = true;
+    xor_fec.fec.group_size = 4;
+    SessionConfig rs = sliced;
+    rs.fec.enabled = true;
+    rs.fec.scheme = FecScheme::kReedSolomon;
+    rs.fec.group_size = 6;
+    rs.fec.parity_chunks = 3;
+
+    std::vector<PinnedSession> sessions;
+    {
+        SessionConfig c;
+        c.channel = ChannelSpec::lossy(0.15, 3);
+        c.max_retransmits = 0;
+        sessions.push_back(
+            {"nofec-v1", c,
+             "sent 12 parity 0 delivered 11 lost 1 nacks 0 retx 0 "
+             "keys 1 ok 10 resynced 1 concealed 1 skipped 0 wire "
+             "90204 backoff_us 0 | groups 0 parity_rx 0 recovered "
+             "0 single 0/0 multi 0/0 unrecovered 0 | scanned 82930 "
+             "skipped 0 ok 11 bad_crc 0 truncated 0 | frames 7732o "
+             "7368o 7446o 7737o 7273o 7493o 7274c 7741r 7390o "
+             "7718o 7287o 7745o"});
+    }
+    {
+        SessionConfig c = sliced;
+        c.channel = ChannelSpec::lossy(0.06, 5);
+        sessions.push_back(
+            {"nofec-sliced", c,
+             "sent 322 parity 0 delivered 11 lost 1 nacks 17 retx "
+             "17 keys 1 ok 10 resynced 1 concealed 1 skipped 0 "
+             "wire 105925 backoff_us 104000 | groups 0 parity_rx 0 "
+             "recovered 0 single 0/0 multi 0/0 unrecovered 0 | "
+             "scanned 102813 skipped 2900 ok 304 bad_crc 5 "
+             "truncated 6 | frames 9258o 8192o 8270o 8595o 8765o "
+             "8651o 8432o 9153o 9315c 9244r 8445o 9605o"});
+    }
+    sessions.push_back(
+        {"xor-clean", xor_fec,
+         "sent 387 parity 84 delivered 12 lost 0 nacks 0 retx "
+         "0 keys 0 ok 12 resynced 0 concealed 0 skipped 0 wire "
+         "127772 backoff_us 0 | groups 84 parity_rx 84 "
+         "recovered 0 single 0/0 multi 0/0 unrecovered 0 | "
+         "scanned 127772 skipped 0 ok 387 bad_crc 0 truncated "
+         "0 | frames 11054o 10498o 10654o 11059o 10308o 10748o "
+         "10310o 10416o 11111o 10474o 10462o 10678o"});
+    {
+        SessionConfig c = xor_fec;
+        c.channel = ChannelSpec::lossy(0.08, 7);
+        c.channel.duplicate_rate = 0.03;
+        c.channel.reorder_rate = 0.05;
+        sessions.push_back(
+            {"xor-lossy", c,
+             "sent 394 parity 84 delivered 12 lost 0 nacks 7 retx "
+             "7 keys 0 ok 12 resynced 0 concealed 0 skipped 0 wire "
+             "130110 backoff_us 40000 | groups 84 parity_rx 79 "
+             "recovered 21 single 21/21 multi 0/0 unrecovered 3 | "
+             "scanned 127930 skipped 3787 ok 375 bad_crc 7 "
+             "truncated 9 | frames 11054o 10498o 10654o 11059o "
+             "10308o 11416o 10310o 10416o 12113o 10474o 10462o "
+             "11346o"});
+    }
+    {
+        SessionConfig c = xor_fec;
+        c.channel = ChannelSpec::bursty(0.03, 3, 11);
+        c.fec_interleave = 2;
+        sessions.push_back(
+            {"xor-lanes2-bursty", c,
+             "sent 397 parity 87 delivered 12 lost 0 nacks 7 retx "
+             "7 keys 0 ok 12 resynced 0 concealed 0 skipped 0 wire "
+             "130946 backoff_us 24000 | groups 87 parity_rx 79 "
+             "recovered 9 single 15/15 multi 0/0 unrecovered 4 | "
+             "scanned 123237 skipped 0 ok 373 bad_crc 0 truncated "
+             "0 | frames 11312o 10498o 10654o 12324o 10308o 11416o "
+             "10310o 10416o 12094o 10474o 10462o 10678o"});
+    }
+    {
+        SessionConfig c = xor_fec;
+        c.channel = ChannelSpec::lossy(0.1, 13);
+        c.fec_interleave = 4;
+        c.max_retransmits = 0;
+        sessions.push_back(
+            {"xor-lanes4-lossy", c,
+             "sent 407 parity 96 delivered 6 lost 6 nacks 0 retx 0 "
+             "keys 6 ok 3 resynced 3 concealed 6 skipped 0 wire "
+             "136701 backoff_us 0 | groups 96 parity_rx 85 "
+             "recovered 18 single 25/25 multi 0/0 unrecovered 8 | "
+             "scanned 130535 skipped 7883 ok 365 bad_crc 18 "
+             "truncated 10 | frames 11406o 11008c 11493c 11411r "
+             "11330c 11483c 11449r 11415o 11463o 11392c 11432c "
+             "11419r"});
+    }
+    {
+        SessionConfig c = rs;
+        c.channel = ChannelSpec::bursty(0.03, 3, 17);
+        sessions.push_back(
+            {"rs-k6m3-bursty", c,
+             "sent 494 parity 180 delivered 12 lost 0 nacks 11 "
+             "retx 11 keys 0 ok 12 resynced 0 concealed 0 skipped "
+             "0 wire 162460 backoff_us 16000 | groups 60 parity_rx "
+             "171 recovered 25 single 3/3 multi 8/10 unrecovered 2 "
+             "| scanned 147268 skipped 0 ok 449 bad_crc 0 "
+             "truncated 0 | frames 13870o 15002o 13310o 13875o "
+             "14288o 13498o 12622o 12834o 13927o 12950o 12926o "
+             "13358o"});
+    }
+    {
+        SessionConfig c = rs;
+        c.channel = ChannelSpec::bursty(0.04, 3, 19);
+        c.fec.parity_chunks = 2;
+        c.redundancy.enabled = true;
+        c.redundancy.wire_budget_bytes = 2500;
+        sessions.push_back(
+            {"rs-redundancy", c,
+             "sent 362 parity 94 delivered 12 lost 0 nacks 18 retx "
+             "18 keys 0 ok 12 resynced 0 concealed 0 skipped 0 "
+             "wire 120694 backoff_us 40000 | groups 37 parity_rx "
+             "81 recovered 14 single 1/2 multi 5/10 unrecovered 6 "
+             "| scanned 105586 skipped 0 ok 317 bad_crc 0 "
+             "truncated 0 | frames 10202o 11604o 10185o 11005o "
+             "11006o 10619o 10661o 8759o 14595o 9034o 7437o 5587o"});
+    }
+
+    for (const PinnedSession &pinned : sessions) {
+        auto report = StreamSession(makeIntraInterV1Config(),
+                                    pinned.config)
+                          .run(frames);
+        ASSERT_TRUE(report.hasValue()) << pinned.name;
+        EXPECT_EQ(fingerprint(*report), pinned.expected)
+            << pinned.name;
+    }
 }
 
 // -----------------------------------------------------------------

@@ -329,19 +329,24 @@ TEST(RsFec, RejectsCorruptedParityBytes)
     EXPECT_FALSE(recoverRsChunks(k, data, one_row).has_value());
 }
 
-/** Cauchy coefficients match their definition and are never 0 —
- *  a zero coefficient would silently drop a chunk from a row. */
+/** Coefficients match their definition — the Cauchy matrix with
+ *  column i scaled by k ^ i, so row 0 is all ones (the XOR row) —
+ *  and are never 0: a zero coefficient would silently drop a chunk
+ *  from a row. */
 TEST(RsFec, CauchyCoefficientsAreNonzeroAndCorrect)
 {
-    for (const int k : {2, 4, 16, 64}) {
-        for (int row = 0; row < 4; ++row) {
+    for (const int k : {2, 4, 16, 64, 254}) {
+        for (int row = 0; row < 4 && k + row <= 255; ++row) {
             for (int i = 0; i < k; ++i) {
                 const std::uint8_t c = rsCoefficient(k, row, i);
                 ASSERT_NE(c, 0) << k << "," << row << "," << i;
-                ASSERT_EQ(
-                    gfMul(c, static_cast<std::uint8_t>(
-                                 (k + row) ^ i)),
-                    1);
+                ASSERT_EQ(gfMul(c, static_cast<std::uint8_t>(
+                                       (k + row) ^ i)),
+                          static_cast<std::uint8_t>(k ^ i))
+                    << k << "," << row << "," << i;
+                if (row == 0) {
+                    ASSERT_EQ(c, 1) << k << "," << i;
+                }
             }
         }
     }
@@ -526,10 +531,6 @@ TEST(SessionValidation, RejectsInterleaveNotDividingGroup)
 
 TEST(SessionValidation, RejectsControllersWithoutTheirDeps)
 {
-    SessionConfig config;
-    config.adaptive_fec = true;  // requires fec.enabled
-    EXPECT_FALSE(validateSessionConfig(config).isOk());
-
     SessionConfig red;
     red.redundancy.enabled = true;  // requires RS FEC
     EXPECT_FALSE(validateSessionConfig(red).isOk());
@@ -538,8 +539,6 @@ TEST(SessionValidation, RejectsControllersWithoutTheirDeps)
     EXPECT_FALSE(validateSessionConfig(red).isOk());
     red.fec.scheme = FecScheme::kReedSolomon;
     EXPECT_TRUE(validateSessionConfig(red).isOk());
-    red.adaptive_fec = true;  // cannot stack under redundancy
-    EXPECT_FALSE(validateSessionConfig(red).isOk());
 }
 
 TEST(SessionValidation, RejectsNegativeRetryKnobs)
