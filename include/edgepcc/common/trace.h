@@ -111,10 +111,22 @@ class Tracer
     static std::uint32_t currentThreadId();
 
   private:
+    friend class ScopedTrace;
+
     Tracer() = default;
+
+    /** Makes room for one span that recordReserved() appends, so a
+     *  span closing in a destructor (often while unwinding) never
+     *  allocates. */
+    void reserveSpan();
+    /** Appends a span reserveSpan() made room for. */
+    void recordReserved(const char *name, double start_s,
+                        double dur_s);
 
     mutable Mutex mutex_;
     std::vector<TraceEvent> events_ EDGEPCC_GUARDED_BY(mutex_);
+    /** Open ScopedTrace spans with room reserved in events_. */
+    std::size_t reserved_ EDGEPCC_GUARDED_BY(mutex_) = 0;
     std::atomic<bool> enabled_{false};
     std::atomic<int> verbosity_{0};
 };
@@ -134,6 +146,7 @@ class ScopedTrace
     {
         if (Tracer::global().enabled() &&
             Tracer::global().verbosity() >= min_verbosity) {
+            Tracer::global().reserveSpan();
             name_ = name;
             start_s_ = Tracer::nowSeconds();
         }
@@ -141,12 +154,12 @@ class ScopedTrace
     ~ScopedTrace() { stop(); }
 
     /** Ends the span early (idempotent; destruction is a no-op
-     *  afterwards). */
+     *  afterwards). Never allocates. */
     void
     stop()
     {
         if (name_ != nullptr) {
-            Tracer::global().record(
+            Tracer::global().recordReserved(
                 name_, start_s_, Tracer::nowSeconds() - start_s_);
             name_ = nullptr;
         }

@@ -73,10 +73,12 @@ struct PipelineProfile {
 class WorkRecorder
 {
   public:
-    /** Opens a stage; host timing starts now. */
+    /** Opens a stage; host timing starts now. Reserves the slot
+     *  endStage() fills, so only this call may allocate. */
     void beginStage(const std::string &name);
 
-    /** Closes the currently open stage and stores it. */
+    /** Closes the currently open stage and stores it. Never
+     *  allocates (safe from ~ScopedStage). */
     void endStage();
 
     /** Adds a kernel record to the currently open stage.

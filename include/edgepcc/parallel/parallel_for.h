@@ -1,13 +1,15 @@
 /**
  * @file
- * Data-parallel primitives (`parallelFor`, `parallelReduce`) over the
- * thread pool. These mirror the CUDA kernels of the paper's GPU
+ * Data-parallel primitives (`parallelFor`, `parallelForChunks`) over
+ * the thread pool. These mirror the CUDA kernels of the paper's GPU
  * implementation.
  *
- * Each call waits on its own completion latch rather than the pool's
- * global task counter, so (a) concurrent callers never wait on each
- * other's work and (b) nesting a primitive inside a pool task cannot
- * deadlock: the waiter helps drain the queue while its latch is open.
+ * Both are thin wrappers over one chunking core that runs its
+ * chunks as one TaskGroup (thread_pool.h), so (a) concurrent callers
+ * never wait on each other's work, (b) nesting a primitive inside a
+ * pool task cannot deadlock: the waiter helps drain the queue, and
+ * (c) an exception thrown by the body reaches the caller once every
+ * chunk has finished.
  */
 
 #ifndef EDGEPCC_PARALLEL_PARALLEL_FOR_H
@@ -15,7 +17,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <latch>
 #include <vector>
 
 #include "edgepcc/parallel/thread_pool.h"
@@ -25,36 +26,36 @@ namespace edgepcc {
 namespace detail {
 
 /**
- * Blocks until `latch` opens. Runs queued pool tasks on this thread
- * while waiting, which keeps nested calls (a chunk body that itself
- * uses parallelFor) deadlock-free and puts the caller to work
- * instead of sleeping.
+ * The one chunking core: calls `run_chunk(lo, hi)` once per chunk
+ * of [begin, end), each chunk at least `grain` items and at most
+ * one chunk per (worker + caller). A single chunk, or a pool with
+ * no workers, runs inline — one pool task would pay queue overhead
+ * for zero parallelism. Otherwise the chunks are one TaskGroup the
+ * caller helps drain, and the first exception a chunk throws is
+ * rethrown here after all of them have finished.
  */
-inline void
-waitHelping(std::latch &latch, ThreadPool &pool)
+template <typename RunChunk>
+void
+forEachChunk(std::size_t begin, std::size_t end,
+             const RunChunk &run_chunk, ThreadPool &pool,
+             std::size_t grain)
 {
-    while (!latch.try_wait()) {
-        if (!pool.tryRunOne()) {
-            // Queue drained: our still-open tasks are running on
-            // workers; block until their count_down calls arrive.
-            latch.wait();
-            return;
-        }
+    if (begin >= end)
+        return;
+    const std::size_t n = end - begin;
+    const std::size_t parts = pool.numThreads() + 1;  // + caller
+    const std::size_t chunk = std::max<std::size_t>(
+        std::max<std::size_t>(grain, 1), (n + parts - 1) / parts);
+    if (pool.numThreads() == 0 || chunk >= n) {
+        run_chunk(begin, end);
+        return;
     }
-}
-
-/**
- * Chunk geometry shared by the primitives: at least `grain` items
- * per chunk, at most one chunk per (worker + caller). Returns the
- * chunk size; a single chunk means "run inline" — submitting one
- * task to the pool would pay queue overhead for zero parallelism.
- */
-inline std::size_t
-chunkSize(std::size_t n, std::size_t workers, std::size_t grain)
-{
-    const std::size_t parts = workers + 1;  // workers + caller
-    return std::max<std::size_t>(std::max<std::size_t>(grain, 1),
-                                 (n + parts - 1) / parts);
+    TaskGroup group(pool);
+    for (std::size_t lo = begin; lo < end; lo += chunk) {
+        const std::size_t hi = std::min(end, lo + chunk);
+        group.run([lo, hi, &run_chunk] { run_chunk(lo, hi); });
+    }
+    group.wait();
 }
 
 }  // namespace detail
@@ -73,27 +74,13 @@ parallelFor(std::size_t begin, std::size_t end, const Body &body,
             ThreadPool &pool = ThreadPool::global(),
             std::size_t grain = 1024)
 {
-    if (begin >= end)
-        return;
-    const std::size_t n = end - begin;
-    const std::size_t chunk =
-        detail::chunkSize(n, pool.numThreads(), grain);
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    if (pool.numThreads() == 0 || num_chunks <= 1) {
-        for (std::size_t i = begin; i < end; ++i)
-            body(i);
-        return;
-    }
-    std::latch latch(static_cast<std::ptrdiff_t>(num_chunks));
-    for (std::size_t lo = begin; lo < end; lo += chunk) {
-        const std::size_t hi = std::min(end, lo + chunk);
-        pool.submit([lo, hi, &body, &latch] {
+    detail::forEachChunk(
+        begin, end,
+        [&body](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i)
                 body(i);
-            latch.count_down();
-        });
-    }
-    detail::waitHelping(latch, pool);
+        },
+        pool, grain);
 }
 
 /**
@@ -106,70 +93,7 @@ parallelForChunks(std::size_t begin, std::size_t end, const Body &body,
                   ThreadPool &pool = ThreadPool::global(),
                   std::size_t grain = 1024)
 {
-    if (begin >= end)
-        return;
-    const std::size_t n = end - begin;
-    const std::size_t chunk =
-        detail::chunkSize(n, pool.numThreads(), grain);
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    if (pool.numThreads() == 0 || num_chunks <= 1) {
-        body(begin, end);
-        return;
-    }
-    std::latch latch(static_cast<std::ptrdiff_t>(num_chunks));
-    for (std::size_t lo = begin; lo < end; lo += chunk) {
-        const std::size_t hi = std::min(end, lo + chunk);
-        pool.submit([lo, hi, &body, &latch] {
-            body(lo, hi);
-            latch.count_down();
-        });
-    }
-    detail::waitHelping(latch, pool);
-}
-
-/**
- * Parallel reduction: combines `identity` with `mapper(i)` over
- * [begin, end) using the associative `combine`.
- */
-template <typename T, typename Mapper, typename Combine>
-T
-parallelReduce(std::size_t begin, std::size_t end, T identity,
-               const Mapper &mapper, const Combine &combine,
-               ThreadPool &pool = ThreadPool::global(),
-               std::size_t grain = 4096)
-{
-    if (begin >= end)
-        return identity;
-    const std::size_t n = end - begin;
-    const std::size_t chunk =
-        detail::chunkSize(n, pool.numThreads(), grain);
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    if (pool.numThreads() == 0 || num_chunks <= 1) {
-        T acc = identity;
-        for (std::size_t i = begin; i < end; ++i)
-            acc = combine(acc, mapper(i));
-        return acc;
-    }
-    std::vector<T> partials(num_chunks, identity);
-    std::latch latch(static_cast<std::ptrdiff_t>(num_chunks));
-    std::size_t index = 0;
-    for (std::size_t lo = begin; lo < end; lo += chunk, ++index) {
-        const std::size_t hi = std::min(end, lo + chunk);
-        T *slot = &partials[index];
-        pool.submit(
-            [lo, hi, slot, identity, &mapper, &combine, &latch] {
-                T acc = identity;
-                for (std::size_t i = lo; i < hi; ++i)
-                    acc = combine(acc, mapper(i));
-                *slot = acc;
-                latch.count_down();
-            });
-    }
-    detail::waitHelping(latch, pool);
-    T result = identity;
-    for (const T &partial : partials)
-        result = combine(result, partial);
-    return result;
+    detail::forEachChunk(begin, end, body, pool, grain);
 }
 
 /**

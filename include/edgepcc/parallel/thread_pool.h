@@ -8,6 +8,10 @@
  * the device model (src/platform) charges them to the modelled GPU
  * based on their recorded work, independent of how many host threads
  * actually ran.
+ *
+ * `TaskGroup` is the one way to wait on pool tasks; the
+ * data-parallel primitives (parallel_for.h) and the serve layer's
+ * batched encodes both wait through it.
  */
 
 #ifndef EDGEPCC_PARALLEL_THREAD_POOL_H
@@ -16,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -40,45 +45,34 @@ enum class TaskPriority : std::uint8_t {
  *
  * Tasks are std::function<void()>; submission is thread-safe. The
  * pool with zero workers degenerates to inline execution, which keeps
- * single-core hosts (and deterministic tests) fast.
+ * single-core hosts (and deterministic tests) fast. A task submitted
+ * directly must not throw; run it through a TaskGroup to carry its
+ * exception back to the waiting caller.
  */
 class ThreadPool
 {
   public:
-    /** @param num_threads worker count; 0 means "execute inline". */
+    /** @param num_threads worker count; 0 means "execute inline".
+     *  If a worker cannot start, joins the started ones and throws. */
     explicit ThreadPool(std::size_t num_threads);
-    ~ThreadPool();
+    ~ThreadPool() { shutDown(); }
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     std::size_t numThreads() const { return workers_.size(); }
 
-    /** Enqueues a task; runs inline when the pool has no workers. */
-    void submit(std::function<void()> task);
-
-    /** Enqueues a task in the given scheduling class. */
-    void submit(std::function<void()> task, TaskPriority priority);
-
-    /**
-     * Blocks until every submitted task has finished. While waiting,
-     * the calling thread helps drain the queue, so `wait()` from a
-     * caller that just submitted work makes progress even when all
-     * workers are busy.
-     *
-     * Must not be called from inside a pool task: the caller's own
-     * task counts as in flight, so the global counter can never
-     * reach zero (use `parallelFor`, which waits on a per-call latch
-     * and is safe to nest).
-     */
-    void wait();
+    /** Enqueues a task in the given scheduling class; runs it
+     *  inline when the pool has no workers. */
+    void submit(std::function<void()> task,
+                TaskPriority priority = TaskPriority::kNormal);
 
     /**
      * Pops and runs one queued task on the calling thread.
      * @return false when the queue was empty.
      *
-     * This is the work-stealing hook the data-parallel primitives
-     * use to wait without blocking a worker (see parallel_for.h).
+     * This is the work-stealing hook TaskGroup::wait uses to wait
+     * without blocking a worker.
      */
     bool tryRunOne();
 
@@ -99,25 +93,73 @@ class ThreadPool
   private:
     void workerLoop();
 
+    /** Stops the workers once the queue is drained and joins them. */
+    void shutDown();
+
     /** Pops the next task; returns false when the queue is empty. */
     bool popTaskLocked(std::function<void()> &task)
         EDGEPCC_REQUIRES(mutex_);
 
-    /** Marks one task finished, waking waiters at zero. */
-    void finishTask();
-
-    /** Immutable after construction (no guard needed). */
+    /** Fixed once the constructor returns (no guard needed). */
     std::vector<std::thread> workers_;
 
     Mutex mutex_;
     CondVar task_available_;
-    CondVar all_done_;
     std::deque<std::function<void()>> queue_
         EDGEPCC_GUARDED_BY(mutex_);
     std::deque<std::function<void()>> high_queue_
         EDGEPCC_GUARDED_BY(mutex_);
-    std::size_t in_flight_ EDGEPCC_GUARDED_BY(mutex_) = 0;
     bool shutting_down_ EDGEPCC_GUARDED_BY(mutex_) = false;
+};
+
+/**
+ * A set of pool tasks the caller waits on as one. Each group counts
+ * only its own tasks, so concurrent callers never wait on each
+ * other's work, and a task may run a nested group: the waiter helps
+ * drain the queue.
+ *
+ * A task's exception never escapes on the thread that ran it: the
+ * group keeps the first one, and wait() rethrows it once *every*
+ * task has finished. The destructor drains the same way, so
+ * unwinding never leaves a queued task pointing at a dead stack
+ * frame; it does not rethrow, because it only runs before wait()
+ * when the caller is already propagating another exception.
+ */
+class TaskGroup
+{
+  public:
+    explicit TaskGroup(ThreadPool &pool) : pool_(pool) {}
+    ~TaskGroup() { drain(); }
+
+    TaskGroup(const TaskGroup &) = delete;
+    TaskGroup &operator=(const TaskGroup &) = delete;
+
+    /** Counts `task` in and submits it (inline on a pool with no
+     *  workers). If submission throws, the count is taken back. */
+    void run(std::function<void()> task,
+             TaskPriority priority = TaskPriority::kNormal);
+
+    /** Helps run queued tasks until every task of the group has
+     *  finished, then rethrows the first exception one threw. */
+    void
+    wait()
+    {
+        if (std::exception_ptr error = drain())
+            std::rethrow_exception(error);
+    }
+
+  private:
+    /** Helps until the group's count reaches zero; hands over the
+     *  first exception a task threw (null if none). */
+    std::exception_ptr drain();
+    /** Counts one task out, keeping the first error. */
+    void finishOne(std::exception_ptr error);
+
+    ThreadPool &pool_;
+    Mutex mutex_;
+    CondVar done_;
+    std::size_t pending_ EDGEPCC_GUARDED_BY(mutex_) = 0;
+    std::exception_ptr error_ EDGEPCC_GUARDED_BY(mutex_);
 };
 
 /** RAII global-pool redirect: builds a pool of `num_threads` workers

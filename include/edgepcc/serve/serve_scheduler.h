@@ -158,7 +158,8 @@ struct ServeConfig {
      *  tenants placed on a replica would exceed this (per replica). */
     double admission_utilization_cap = 1.0;
 
-    bool cache_enabled = true;
+    /** Reference-cache entries (LRU, reference_cache.h); 0 turns
+     *  the cache off. */
     std::size_t cache_capacity = 64;
     /** Device seconds charged for serving a frame from the cache. */
     double cache_hit_cost_s = 0.0001;

@@ -66,13 +66,27 @@ Tracer::currentThreadId()
 void
 Tracer::record(const char *name, double start_s, double dur_s)
 {
-    TraceEvent event;
-    event.name = name;
-    event.start_s = start_s;
-    event.dur_s = dur_s;
-    event.tid = currentThreadId();
+    reserveSpan();
+    recordReserved(name, start_s, dur_s);
+}
+
+void
+Tracer::reserveSpan()
+{
     MutexLock lock(mutex_);
-    events_.push_back(event);
+    const std::size_t needed = events_.size() + reserved_ + 1;
+    if (needed > events_.capacity())
+        events_.reserve(std::max(needed, 2 * events_.capacity()));
+    ++reserved_;
+}
+
+void
+Tracer::recordReserved(const char *name, double start_s, double dur_s)
+{
+    const std::uint32_t tid = currentThreadId();
+    MutexLock lock(mutex_);
+    --reserved_;
+    events_.push_back({name, start_s, dur_s, tid});
 }
 
 std::vector<TraceEvent>

@@ -1,5 +1,6 @@
 #include "edgepcc/common/work_counters.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace edgepcc {
@@ -67,6 +68,11 @@ WorkRecorder::beginStage(const std::string &name)
 {
     if (stage_open_)
         endStage();
+    // Room for the stage endStage() appends: closing a stage (from
+    // ~ScopedStage, often while unwinding) must never allocate.
+    std::vector<StageProfile> &stages = profile_.stages;
+    if (stages.size() == stages.capacity())
+        stages.reserve(std::max<std::size_t>(8, 2 * stages.size()));
     open_stage_ = StageProfile{};
     open_stage_.name = name;
     open_stage_start_ = nowSeconds();

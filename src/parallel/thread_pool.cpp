@@ -7,12 +7,20 @@ namespace edgepcc {
 
 ThreadPool::ThreadPool(std::size_t num_threads)
 {
-    workers_.reserve(num_threads);
-    for (std::size_t i = 0; i < num_threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    try {
+        workers_.reserve(num_threads);
+        for (std::size_t i = 0; i < num_threads; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+        // The workers already started wait on task_available_ and
+        // are joinable: destroying either would hang or terminate.
+        shutDown();
+        throw;
+    }
 }
 
-ThreadPool::~ThreadPool()
+void
+ThreadPool::shutDown()
 {
     {
         MutexLock lock(mutex_);
@@ -39,20 +47,6 @@ ThreadPool::popTaskLocked(std::function<void()> &task)
 }
 
 void
-ThreadPool::finishTask()
-{
-    MutexLock lock(mutex_);
-    if (--in_flight_ == 0)
-        all_done_.notifyAll();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    submit(std::move(task), TaskPriority::kNormal);
-}
-
-void
 ThreadPool::submit(std::function<void()> task, TaskPriority priority)
 {
     if (workers_.empty()) {
@@ -65,31 +59,8 @@ ThreadPool::submit(std::function<void()> task, TaskPriority priority)
             high_queue_.push_back(std::move(task));
         else
             queue_.push_back(std::move(task));
-        ++in_flight_;
     }
     task_available_.notifyOne();
-}
-
-void
-ThreadPool::wait()
-{
-    if (workers_.empty())
-        return;
-    for (;;) {
-        std::function<void()> task;
-        {
-            MutexLock lock(mutex_);
-            // Help drain instead of sleeping: the waiter often
-            // submitted this work and owns the captures it uses.
-            while (!popTaskLocked(task)) {
-                if (in_flight_ == 0)
-                    return;
-                all_done_.wait(mutex_);
-            }
-        }
-        task();
-        finishTask();
-    }
 }
 
 bool
@@ -102,7 +73,6 @@ ThreadPool::tryRunOne()
             return false;
     }
     task();
-    finishTask();
     return true;
 }
 
@@ -122,7 +92,6 @@ ThreadPool::workerLoop()
             }
         }
         task();
-        finishTask();
     }
 }
 
@@ -147,6 +116,68 @@ void
 ThreadPool::setGlobalOverride(ThreadPool *pool)
 {
     global_override.store(pool, std::memory_order_release);
+}
+
+// -----------------------------------------------------------------
+// TaskGroup
+// -----------------------------------------------------------------
+
+void
+TaskGroup::run(std::function<void()> task, TaskPriority priority)
+{
+    {
+        MutexLock lock(mutex_);
+        ++pending_;
+    }
+    try {
+        pool_.submit(
+            [this, task = std::move(task)]() mutable {
+                std::exception_ptr error;
+                try {
+                    task();
+                } catch (...) {
+                    error = std::current_exception();
+                }
+                task = nullptr;  // drop captures before counting out
+                finishOne(std::move(error));
+            },
+            priority);
+    } catch (...) {
+        finishOne(nullptr);  // never queued: nothing will count it out
+        throw;
+    }
+}
+
+void
+TaskGroup::finishOne(std::exception_ptr error)
+{
+    // Notify under the lock: the waiter may destroy the group as
+    // soon as it can observe a zero count.
+    MutexLock lock(mutex_);
+    if (error && !error_)
+        error_ = std::move(error);
+    if (--pending_ == 0)
+        done_.notifyAll();
+}
+
+std::exception_ptr
+TaskGroup::drain()
+{
+    for (;;) {
+        {
+            MutexLock lock(mutex_);
+            if (pending_ == 0)
+                return std::exchange(error_, nullptr);
+        }
+        if (!pool_.tryRunOne())
+            break;
+    }
+    // Queue empty: the group's open tasks are all running on
+    // workers; sleep until the last one counts out.
+    MutexLock lock(mutex_);
+    while (pending_ > 0)
+        done_.wait(mutex_);
+    return std::exchange(error_, nullptr);
 }
 
 }  // namespace edgepcc

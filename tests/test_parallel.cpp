@@ -1,10 +1,18 @@
-/** @file Tests for the thread pool, parallel primitives and sort. */
+/**
+ * @file
+ * Tests for the thread pool, TaskGroup, the parallel primitives
+ * (including exceptions thrown across the pool) and the radix sort.
+ */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "edgepcc/common/rng.h"
 #include "edgepcc/parallel/parallel_for.h"
@@ -19,8 +27,10 @@ TEST(ThreadPool, InlineExecutionWithZeroWorkers)
     ThreadPool pool(0);
     EXPECT_EQ(pool.numThreads(), 0u);
     int value = 0;
-    pool.submit([&value] { value = 7; });
-    pool.wait();
+    TaskGroup group(pool);
+    group.run([&value] { value = 7; });
+    EXPECT_EQ(value, 7);  // ran inside run()
+    group.wait();
     EXPECT_EQ(value, 7);
 }
 
@@ -28,20 +38,22 @@ TEST(ThreadPool, RunsAllTasks)
 {
     ThreadPool pool(3);
     std::atomic<int> counter{0};
+    TaskGroup group(pool);
     for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { ++counter; });
-    pool.wait();
+        group.run([&counter] { ++counter; });
+    group.wait();
     EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, WaitIsReentrant)
 {
     ThreadPool pool(2);
-    pool.wait();  // no tasks
+    TaskGroup group(pool);
+    group.wait();  // no tasks
     std::atomic<int> counter{0};
-    pool.submit([&counter] { ++counter; });
-    pool.wait();
-    pool.wait();
+    group.run([&counter] { ++counter; });
+    group.wait();
+    group.wait();
     EXPECT_EQ(counter.load(), 1);
 }
 
@@ -108,16 +120,6 @@ TEST(ParallelForChunks, NonZeroBeginAndLargeGrain)
     EXPECT_EQ(sum.load(), expected);
 }
 
-TEST(ParallelReduce, NonZeroBeginAndGrainLargerThanRange)
-{
-    ThreadPool pool(2);
-    const std::uint64_t got = parallelReduce<std::uint64_t>(
-        10, 20, 0, [](std::size_t i) { return i; },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; },
-        pool, 4096);
-    EXPECT_EQ(got, 145u);  // 10 + 11 + ... + 19
-}
-
 TEST(ParallelForChunks, ChunksPartitionTheRange)
 {
     std::vector<int> data(10000, 0);
@@ -130,19 +132,154 @@ TEST(ParallelForChunks, ChunksPartitionTheRange)
                             [](int v) { return v == 1; }));
 }
 
-TEST(ParallelReduce, SumMatchesSequential)
+// -----------------------------------------------------------------
+// Exceptions across the pool: TaskGroup's contract
+// -----------------------------------------------------------------
+
+/** What a body threw, or "" when the call returned normally. */
+template <typename Call>
+std::string
+thrownMessage(const Call &call)
 {
-    std::vector<std::uint64_t> values(20000);
-    Rng rng(5);
-    for (auto &value : values)
-        value = rng.bounded(1000);
-    const std::uint64_t expected = std::accumulate(
-        values.begin(), values.end(), std::uint64_t{0});
-    const std::uint64_t got = parallelReduce<std::uint64_t>(
-        0, values.size(), 0,
-        [&](std::size_t i) { return values[i]; },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; });
-    EXPECT_EQ(got, expected);
+    try {
+        call();
+    } catch (const std::runtime_error &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(ParallelExceptions, ThrowAtAnyIndexReachesCaller)
+{
+    // Every chunk, whether a worker or the helping caller runs it,
+    // must hand its exception back to the caller — only after every
+    // other chunk has finished — and leave the pool fully usable.
+    ThreadPool pool(3);
+    constexpr std::size_t kN = 4096;
+    constexpr std::size_t kChunk = kN / 4;  // 3 workers + the caller
+    for (std::size_t bad = 0; bad < kN; bad += 97) {
+        for (int repeat = 0; repeat < 4; ++repeat) {
+            std::atomic<std::size_t> visited{0};
+            const std::string message = thrownMessage([&] {
+                parallelFor(
+                    0, kN,
+                    [&](std::size_t i) {
+                        visited.fetch_add(1,
+                                          std::memory_order_relaxed);
+                        if (i == bad)
+                            throw std::runtime_error(
+                                std::to_string(i));
+                    },
+                    pool, 64);
+            });
+            ASSERT_EQ(message, std::to_string(bad));
+            // The throwing chunk stops at `bad`; the rest all ran.
+            EXPECT_EQ(visited.load(), kN - kChunk + bad % kChunk + 1)
+                << "bad=" << bad;
+        }
+    }
+    std::vector<std::atomic<int>> hits(kN);
+    parallelFor(
+        0, kN, [&](std::size_t i) { ++hits[i]; }, pool, 64);
+    for (const auto &hit : hits)
+        ASSERT_EQ(hit.load(), 1);
+}
+
+TEST(ParallelExceptions, ChunksThrowToCaller)
+{
+    ThreadPool pool(3);
+    for (std::size_t bad_chunk = 0; bad_chunk < 4; ++bad_chunk) {
+        const std::string message = thrownMessage([&] {
+            parallelForChunks(
+                0, 4000,
+                [&](std::size_t lo, std::size_t) {
+                    if (lo / 1000 == bad_chunk)
+                        throw std::runtime_error(
+                            "chunk " + std::to_string(lo / 1000));
+                },
+                pool, 1000);
+        });
+        EXPECT_EQ(message, "chunk " + std::to_string(bad_chunk));
+    }
+}
+
+TEST(ParallelExceptions, GroupRethrowsOnlyAfterEveryTaskRan)
+{
+    ThreadPool pool(3);
+    TaskGroup group(pool);
+    std::atomic<int> finished{0};
+    group.run([] { throw std::runtime_error("first"); });
+    for (int i = 0; i < 24; ++i) {
+        group.run([&finished] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            finished.fetch_add(1);
+        });
+    }
+    group.run([] { throw std::runtime_error("second"); });
+    const std::string message = thrownMessage([&] { group.wait(); });
+    // Exactly one of the two errors, and only once every task of
+    // the group has finished.
+    EXPECT_TRUE(message == "first" || message == "second") << message;
+    EXPECT_EQ(finished.load(), 24);
+    // The error was handed over: the group is clean again.
+    EXPECT_EQ(thrownMessage([&] { group.wait(); }), "");
+}
+
+TEST(ParallelExceptions, NestedParallelForInsideThrowingChunk)
+{
+    ThreadPool pool(3);
+    constexpr std::size_t kOuter = 16;
+    constexpr std::size_t kInner = 256;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    const std::string message = thrownMessage([&] {
+        parallelFor(
+            0, kOuter,
+            [&](std::size_t outer) {
+                parallelFor(
+                    0, kInner,
+                    [&](std::size_t inner) {
+                        if (outer == 5 && inner == 100)
+                            throw std::runtime_error("inner");
+                        ++hits[outer * kInner + inner];
+                    },
+                    pool, 16);
+            },
+            pool, 1);
+    });
+    EXPECT_EQ(message, "inner");
+    // Outer chunks are [0,4) [4,8) [8,12) [12,16): outer 6 and 7
+    // never start once 5 throws; every other row ran completely.
+    for (std::size_t outer = 0; outer < kOuter; ++outer) {
+        if (outer >= 5 && outer < 8)
+            continue;
+        for (std::size_t inner = 0; inner < kInner; ++inner)
+            ASSERT_EQ(hits[outer * kInner + inner].load(), 1)
+                << outer << ":" << inner;
+    }
+}
+
+TEST(ParallelExceptions, ZeroWorkersRunInlineAndStillDefer)
+{
+    ThreadPool pool(0);
+    EXPECT_EQ(thrownMessage([&] {
+                  parallelFor(
+                      0, 100,
+                      [](std::size_t i) {
+                          if (i == 42)
+                              throw std::runtime_error("42");
+                      },
+                      pool, 1);
+              }),
+              "42");
+
+    // An inline task's exception is still kept for wait(), so the
+    // tasks after it run as they would on a pool with workers.
+    TaskGroup group(pool);
+    int ran = 0;
+    group.run([] { throw std::runtime_error("inline"); });
+    group.run([&ran] { ++ran; });
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(thrownMessage([&] { group.wait(); }), "inline");
 }
 
 TEST(ExclusiveScan, KnownSequence)

@@ -57,33 +57,6 @@ TEST(ParallelStress, ConcurrentParallelForOnSharedPool)
             ASSERT_EQ(hits[c][i].load(), 8) << c << ":" << i;
 }
 
-TEST(ParallelStress, ConcurrentParallelReduceOnSharedPool)
-{
-    ThreadPool pool(4);
-    constexpr std::size_t kN = 100000;
-    const std::uint64_t expected = kN * (kN - 1) / 2;
-
-    std::vector<std::thread> callers;
-    std::array<std::uint64_t, 4> results{};
-    for (std::size_t c = 0; c < results.size(); ++c) {
-        callers.emplace_back([&pool, &results, c] {
-            results[c] = parallelReduce(
-                std::size_t{0}, kN, std::uint64_t{0},
-                [](std::size_t i) {
-                    return static_cast<std::uint64_t>(i);
-                },
-                [](std::uint64_t a, std::uint64_t b) {
-                    return a + b;
-                },
-                pool, 1024);
-        });
-    }
-    for (auto &caller : callers)
-        caller.join();
-    for (const std::uint64_t result : results)
-        EXPECT_EQ(result, expected);
-}
-
 TEST(ParallelStress, NestedParallelForDoesNotDeadlock)
 {
     ThreadPool pool(3);
@@ -115,17 +88,17 @@ TEST(ParallelStress, SubmitAndWaitFromManyThreads)
     std::vector<std::thread> producers;
     for (int p = 0; p < 4; ++p) {
         producers.emplace_back([&pool, &counter] {
+            TaskGroup group(pool);
             for (int i = 0; i < 200; ++i)
-                pool.submit([&counter] {
+                group.run([&counter] {
                     counter.fetch_add(1,
                                       std::memory_order_relaxed);
                 });
-            pool.wait();
+            group.wait();
         });
     }
     for (auto &producer : producers)
         producer.join();
-    pool.wait();
     EXPECT_EQ(counter.load(), 800);
 }
 

@@ -5,21 +5,29 @@
  * decode either fails cleanly or returns a structurally valid
  * cloud. Also the resource-exhaustion contract: the public codec
  * entry points return RESOURCE_EXHAUSTED (never throw) when an
- * allocation fails mid-encode/decode, and degenerate inputs (empty
- * or all-duplicate clouds) round-trip or fail cleanly.
+ * allocation fails mid-encode/decode/serve — also when the failing
+ * allocation happens in a pool task, the pool's own constructor or
+ * a closing stage or span — and degenerate inputs (empty or
+ * all-duplicate clouds) round-trip or fail cleanly.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 
 #include "edgepcc/common/rng.h"
+#include "edgepcc/common/trace.h"
+#include "edgepcc/common/work_counters.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
+#include "edgepcc/parallel/thread_pool.h"
 #include "edgepcc/platform/arena.h"
+#include "edgepcc/serve/serve_scheduler.h"
 #include "edgepcc/stream/stream_file.h"
 
 // -----------------------------------------------------------------
@@ -31,7 +39,11 @@
 // Status strings and all — allocates freely). Worker threads of the
 // codec's thread pool are never armed; only the caller-thread
 // allocation stream is attacked, which is exactly the path the
-// Status-returning wrappers must cover.
+// Status-returning wrappers must cover. The nothrow forms are
+// replaced too, outside the countdown (they report failure with a
+// null pointer, not an exception): std::stable_sort's temporary
+// buffer comes from them and goes back through operator delete,
+// so both sides must use the same heap.
 // -----------------------------------------------------------------
 
 namespace {
@@ -83,6 +95,18 @@ operator new[](std::size_t size)
     return countdownAlloc(size);
 }
 
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return std::malloc(size == 0 ? 1 : size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return std::malloc(size == 0 ? 1 : size);
+}
+
 void
 operator delete(void *ptr) noexcept
 {
@@ -103,6 +127,18 @@ operator delete(void *ptr, std::size_t) noexcept
 
 void
 operator delete[](void *ptr, std::size_t) noexcept
+{
+    std::free(ptr);
+}
+
+void
+operator delete(void *ptr, const std::nothrow_t &) noexcept
+{
+    std::free(ptr);
+}
+
+void
+operator delete[](void *ptr, const std::nothrow_t &) noexcept
 {
     std::free(ptr);
 }
@@ -144,6 +180,12 @@ class RobustnessTest : public ::testing::Test
             EXPECT_TRUE(decoded->cloud.checkInvariants());
         }
     }
+
+    /** Allocation-failure sweeps over the codec entry points: a
+     *  failure that fires must surface as kResourceExhausted. */
+    static void encodeSweep();
+    static void decodeSweep();
+    static void decodePromotedSweep();
 
     static SyntheticHumanVideo *video_;
     static std::vector<VoxelCloud> frames_;
@@ -287,7 +329,8 @@ TEST_F(RobustnessTest, ReferenceFromDifferentVideoIsSafe)
 // Resource exhaustion: Status, not exceptions
 // -----------------------------------------------------------------
 
-TEST_F(RobustnessTest, EncodeReturnsStatusOnAllocFailure)
+void
+RobustnessTest::encodeSweep()
 {
     for (const CodecConfig &config : allPaperConfigs()) {
         bool saw_exhausted = false;
@@ -329,7 +372,8 @@ TEST_F(RobustnessTest, EncodeReturnsStatusOnAllocFailure)
     }
 }
 
-TEST_F(RobustnessTest, DecodeReturnsStatusOnAllocFailure)
+void
+RobustnessTest::decodeSweep()
 {
     VideoEncoder encoder(makeIntraInterV1Config());
     auto i_frame = encoder.encode(frames_[0]);
@@ -366,7 +410,8 @@ TEST_F(RobustnessTest, DecodeReturnsStatusOnAllocFailure)
     EXPECT_TRUE(saw_exhausted);
 }
 
-TEST_F(RobustnessTest, DecodePromotedReturnsStatusOnAllocFailure)
+void
+RobustnessTest::decodePromotedSweep()
 {
     VideoEncoder encoder(makeIntraInterV1Config());
     auto i_frame = encoder.encode(frames_[0]);
@@ -399,6 +444,191 @@ TEST_F(RobustnessTest, DecodePromotedReturnsStatusOnAllocFailure)
         }
     }
     EXPECT_TRUE(saw_exhausted);
+}
+
+TEST_F(RobustnessTest, EncodeReturnsStatusOnAllocFailure)
+{
+    encodeSweep();
+}
+
+TEST_F(RobustnessTest, DecodeReturnsStatusOnAllocFailure)
+{
+    decodeSweep();
+}
+
+TEST_F(RobustnessTest, DecodePromotedReturnsStatusOnAllocFailure)
+{
+    decodePromotedSweep();
+}
+
+TEST_F(RobustnessTest, CodecSweepsBackToBackOnThreeWorkers)
+{
+    // One process, a pool with workers: a failure injected into a
+    // chunk the caller helps run must come back as a Status too,
+    // and no stage or span may allocate while closing.
+    ScopedGlobalPool pool(3);
+    encodeSweep();
+    decodeSweep();
+    decodePromotedSweep();
+}
+
+TEST_F(RobustnessTest, ServeSchedulerReturnsStatusOnAllocFailure)
+{
+    // Two replicas, per-frame checkpoints and a twin tenant that
+    // hits the reference cache: the batch tasks restore and snapshot
+    // encoder state outside the encoder's own guard.
+    serve::ServeConfig config;
+    config.replicas = 2;
+    config.quantum_s = 10.0;
+    config.batch_max = 4;
+    config.checkpoint_interval_frames = 1;
+    std::vector<serve::TenantSpec> tenants(3);
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+        tenants[t].name = std::string(1, static_cast<char>('A' + t));
+        tenants[t].codec = makeIntraInterV1Config();
+        tenants[t].frames = frames_;
+    }
+    tenants[1].arrival_offset_s = 0.01;  // A's twin, one step behind
+    tenants[2].codec = makeIntraOnlyConfig();
+    tenants[2].deadline_class = serve::DeadlineClass::kInteractive;
+
+    for (const std::size_t workers :
+         {std::size_t{0}, std::size_t{3}}) {
+        ScopedGlobalPool pool(workers);
+        auto clean = serve::ServeScheduler(config, tenants).run();
+        ASSERT_TRUE(clean.hasValue());
+        ASSERT_GT(clean->cache.hits, 0u);
+        const std::string expected = serve::traceString(*clean);
+
+        // Step through the whole run until the failure no longer
+        // fires; that last, clean run must match the reference.
+        for (std::int64_t after = 0;; after += 23) {
+            ASSERT_LT(after, 100000) << "the sweep never completed";
+            serve::ServeScheduler scheduler(config, tenants);
+            bool fired = false;
+            auto report = [&] {
+                ScopedAllocFailure arm(after);
+                auto result = scheduler.run();
+                fired = arm.fired();
+                return result;
+            }();
+            if (!fired) {
+                ASSERT_TRUE(report.hasValue())
+                    << workers << " workers";
+                EXPECT_EQ(serve::traceString(*report), expected);
+                break;
+            }
+            ASSERT_FALSE(report.hasValue())
+                << workers << " workers, after=" << after;
+            EXPECT_EQ(report.status().code(),
+                      StatusCode::kResourceExhausted)
+                << workers << " workers, after=" << after;
+        }
+    }
+}
+
+// -----------------------------------------------------------------
+// Allocation failure in the pool and in closing scopes
+// -----------------------------------------------------------------
+
+TEST_F(RobustnessTest, ThreadPoolConstructorIsExceptionSafe)
+{
+    // Starting the 2nd or 3rd worker can fail while the 1st already
+    // waits for work: the constructor must join it and rethrow,
+    // never hang on the condition variable or terminate.
+    for (std::int64_t after = 0;; ++after) {
+        ASSERT_LT(after, 10000) << "the pool never constructed";
+        std::unique_ptr<ThreadPool> pool;
+        {
+            ScopedAllocFailure arm(after);
+            try {
+                pool = std::make_unique<ThreadPool>(3);
+            } catch (const std::bad_alloc &) {
+                EXPECT_TRUE(arm.fired()) << "after=" << after;
+            }
+        }
+        if (pool != nullptr) {
+            EXPECT_EQ(pool->numThreads(), 3u);
+            break;
+        }
+    }
+}
+
+TEST_F(RobustnessTest, TaskGroupTakesBackAFailedSubmit)
+{
+    ThreadPool pool(2);
+    TaskGroup group(pool);
+    std::atomic<int> ran{0};
+    {
+        ScopedAllocFailure arm(0);
+        EXPECT_THROW(group.run([&ran] { ++ran; }), std::bad_alloc);
+        EXPECT_TRUE(arm.fired());
+    }
+    group.run([&ran] { ++ran; });
+    group.wait();  // must not wait for the task never queued
+    EXPECT_EQ(ran.load(), 1);
+}
+
+TEST_F(RobustnessTest, ClosingAStageNeverAllocates)
+{
+    // ~ScopedStage runs while unwinding, so a failure there would
+    // terminate the process: only opening the stage or recording a
+    // kernel may throw.
+    for (std::int64_t after = 0;; ++after) {
+        ASSERT_LT(after, 1000) << "the sweep never completed";
+        WorkRecorder recorder;
+        int phase = 0;  // 0 opening, 1 recording, 2 closing
+        bool fired = false;
+        {
+            ScopedAllocFailure arm(after);
+            try {
+                ScopedStage stage(&recorder,
+                                  "robustness.stage_with_a_long_name");
+                phase = 1;
+                recordKernel(&recorder,
+                             {"robustness.kernel_with_a_long_name",
+                              ExecResource::kGpu, 1, 64, 64, 512});
+                phase = 2;
+            } catch (const std::bad_alloc &) {
+                EXPECT_LT(phase, 2) << "after=" << after;
+            }
+            fired = arm.fired();
+        }
+        if (!fired) {
+            ASSERT_EQ(recorder.profile().stages.size(), 1u);
+            EXPECT_EQ(recorder.profile().stages[0].kernels.size(), 1u);
+            break;
+        }
+    }
+}
+
+TEST_F(RobustnessTest, ClosingATraceSpanNeverAllocates)
+{
+    Tracer &tracer = Tracer::global();
+    tracer.setEnabled(true);
+    for (std::int64_t after = 0;; ++after) {
+        ASSERT_LT(after, 1000) << "the sweep never completed";
+        tracer.clear();
+        bool fired = false;
+        {
+            ScopedAllocFailure arm(after);
+            try {
+                for (int i = 0; i < 40; ++i) {
+                    ScopedTrace outer("robustness.outer");
+                    ScopedTrace inner("robustness.inner");
+                }
+            } catch (const std::bad_alloc &) {
+                // Opening a span may fail; closing one may not.
+            }
+            fired = arm.fired();
+        }
+        if (!fired) {
+            EXPECT_EQ(tracer.eventCount(), 80u);
+            break;
+        }
+    }
+    tracer.setEnabled(false);
+    tracer.clear();
 }
 
 // -----------------------------------------------------------------

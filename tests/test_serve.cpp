@@ -479,7 +479,7 @@ TEST(ServeSchedulerTest, CacheDisabledEncodesEverything)
     follower.arrival_offset_s = 0.5;
 
     ServeConfig config = roomyConfig();
-    config.cache_enabled = false;
+    config.cache_capacity = 0;  // off
     ServeScheduler scheduler(config, {leader, follower});
     auto report = scheduler.run();
     ASSERT_TRUE(report.hasValue());

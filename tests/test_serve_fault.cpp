@@ -6,20 +6,26 @@
  * state machine, multi-replica placement and byte-identity, and
  * the pinned deterministic crash-failover scenario — checkpoint
  * restore, keyframe-on-failover decodability, bulk-first shedding,
- * throttle/stall/oom injection and frame conservation.
+ * throttle/stall/oom injection and frame conservation — and the
+ * whole-report fingerprints of seven seeded scenarios, pinned at 0
+ * and 3 pool workers.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "edgepcc/common/crc32c.h"
 #include "edgepcc/common/retry.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
+#include "edgepcc/parallel/thread_pool.h"
 #include "edgepcc/serve/circuit_breaker.h"
 #include "edgepcc/serve/fault_injector.h"
 #include "edgepcc/serve/serve_scheduler.h"
@@ -911,6 +917,313 @@ TEST(ServeFailoverTest, CheckpointingAloneKeepsBytesIdentical)
         EXPECT_EQ(a.frames[f].bitstream, b.frames[f].bitstream);
     EXPECT_EQ(b.stats.checkpoints, 3u);
     EXPECT_GT(ckpt->fleet.makespan_s, base->fleet.makespan_s);
+}
+
+// -----------------------------------------------------------------
+// Whole-report fingerprints
+// -----------------------------------------------------------------
+
+long long
+nanos(double seconds)
+{
+    return std::llround(seconds * 1e9);
+}
+
+/** Every observable field of a report on one line (times in integer
+ *  ns), plus one CRC32C over each frame's outcome, start,
+ *  completion, cost and bitstream, so a pin mismatch shows the
+ *  whole difference at once. */
+std::string
+fingerprint(const ServeReport &report)
+{
+    std::uint32_t crc = 0;
+    for (const TenantReport &tenant : report.tenants) {
+        for (const ServedFrame &frame : tenant.frames) {
+            std::vector<std::uint8_t> record;
+            for (const long long value :
+                 {static_cast<long long>(frame.outcome),
+                  nanos(frame.start_s), nanos(frame.completion_s),
+                  nanos(frame.cost_s)}) {
+                for (int byte = 0; byte < 8; ++byte)
+                    record.push_back(static_cast<std::uint8_t>(
+                        static_cast<unsigned long long>(value) >>
+                        (8 * byte)));
+            }
+            crc = crc32c(record, crc);
+            crc = crc32c(frame.bitstream, crc);
+        }
+    }
+    const FleetStats &f = report.fleet;
+    const RecoveryStats &r = report.recovery;
+    const CacheStats &c = report.cache;
+    std::ostringstream out;
+    out << traceString(report) << " | " << recoveryTraceString(report)
+        << " | fleet " << f.sessions << " " << f.admitted << " "
+        << f.rejected << " " << f.replicas << " busy "
+        << nanos(f.device_busy_s) << " makespan "
+        << nanos(f.makespan_s) << " rounds " << f.rounds
+        << " batches " << f.batches << " batched "
+        << f.batched_frames << " | recovery " << r.crashes << " "
+        << r.failovers << " " << r.tenants_shed << " ckpt "
+        << r.checkpoints << " trips " << r.breaker_trips
+        << " faulted " << r.faulted_frames << " quarantined "
+        << r.quarantined_frames << " mttr " << nanos(r.mttr_s)
+        << " worst " << nanos(r.worst_recovery_s) << " | cache "
+        << c.lookups << " " << c.hits << " " << c.misses << " "
+        << c.insertions << " " << c.evictions << " " << c.entries
+        << " saved " << nanos(c.saved_device_s) << " | fairness "
+        << std::llround(report.fairness_index * 1e12) << " | crc "
+        << crc;
+    return out.str();
+}
+
+struct PinnedServe {
+    const char *name;
+    ServeConfig config;
+    std::vector<TenantSpec> tenants;
+    const char *expected;
+};
+
+/** Probe utilization of one tenant, the way admission computes it. */
+double
+unitUtilization(const TenantSpec &tenant, const ServeConfig &config)
+{
+    VideoEncoder probe(tenant.codec);
+    auto encoded = probe.encode(tenant.frames.front());
+    EXPECT_TRUE(encoded.hasValue());
+    const EdgeDeviceModel model(config.device);
+    return model.evaluate(encoded->profile).modelSeconds() *
+           tenant.fps;
+}
+
+std::vector<PinnedServe>
+pinnedScenarios()
+{
+    std::vector<PinnedServe> scenarios;
+    {
+        // DRR pacing with backpressure drops: a small quantum, cut
+        // batches and a 6x load on tight queues.
+        PinnedServe s{"drr-backpressure", {}, {}, nullptr};
+        s.config.quantum_s = 0.004;
+        s.config.batch_max = 3;
+        s.config.load.slowdown = 6.0;
+        s.tenants.push_back(
+            makeTenant("A", 11, DeadlineClass::kInteractive, 6));
+        s.tenants.back().weight = 2.0;
+        s.tenants.push_back(
+            makeTenant("B", 22, DeadlineClass::kStandard, 6));
+        s.tenants.back().queue_capacity = 1;
+        s.tenants.push_back(
+            makeTenant("C", 33, DeadlineClass::kStandard, 6));
+        s.tenants.back().fps = 60.0;
+        s.tenants.back().queue_capacity = 0;
+        s.tenants.push_back(
+            makeTenant("D", 44, DeadlineClass::kBulk, 6));
+        s.tenants.back().codec = makeIntraInterV1Config();
+        s.tenants.back().arrival_offset_s = 0.01;
+        s.expected =
+            "A0 B0 C0 D0 C1 A1 B1 D1 C2! C3- A2 B2 D2 C4 C5 A3 B3 "
+            "D3 A4 B4 D4 A5 B5 D5 |  | fleet 4 4 0 1 busy "
+            "174934350 makespan 190841846 rounds 16 batches 13 "
+            "batched 23 | recovery 0 0 0 ckpt 0 trips 0 faulted 0 "
+            "quarantined 0 mttr 0 worst 0 | cache 23 0 23 23 0 23 "
+            "saved 0 | fairness 916608588847 | crc 1023700220";
+        scenarios.push_back(std::move(s));
+    }
+    {
+        // Twin streams with the reference cache switched off.
+        PinnedServe s{"cache-off", {}, {}, nullptr};
+        s.config.quantum_s = 10.0;
+        s.config.batch_max = 8;
+        s.config.cache_capacity = 0;
+        TenantSpec leader =
+            makeTenant("L", 77, DeadlineClass::kStandard, 5);
+        leader.codec = makeIntraInterV1Config();
+        TenantSpec follower = leader;
+        follower.name = "F";
+        follower.arrival_offset_s = 0.05;
+        s.tenants = {leader, follower};
+        s.expected =
+            "L0 L1 F0 L2 F1 L3 F2 L4 F3 F4 |  | fleet 2 2 0 1 "
+            "busy 16347368 makespan 185141742 rounds 19 batches "
+            "10 batched 10 | recovery 0 0 0 ckpt 0 trips 0 "
+            "faulted 0 quarantined 0 mttr 0 worst 0 | cache 0 0 0 "
+            "0 0 0 saved 0 | fairness 1000000000000 | crc "
+            "259424006";
+        scenarios.push_back(std::move(s));
+    }
+    {
+        // A one-entry cache under a 20x load: hits, evictions and
+        // drops all at once.
+        PinnedServe s{"cache-cap1-load20x", {}, {}, nullptr};
+        s.config.quantum_s = 10.0;
+        s.config.batch_max = 8;
+        s.config.cache_capacity = 1;
+        s.config.load.slowdown = 20.0;
+        TenantSpec leader =
+            makeTenant("L", 77, DeadlineClass::kStandard, 6);
+        leader.queue_capacity = 0;
+        TenantSpec follower = leader;
+        follower.name = "F";
+        follower.arrival_offset_s = 0.01;
+        TenantSpec other =
+            makeTenant("O", 78, DeadlineClass::kBulk, 6);
+        other.queue_capacity = 0;
+        other.arrival_offset_s = 0.12;
+        s.tenants = {leader, follower, other};
+        s.expected =
+            "L0 F0* L1 F1* L2 F2* L3 F3* O0 L4 F4 O1- L5 F5 O2 "
+            "O3- O4 O5 |  | fleet 3 3 0 1 busy 284816153 makespan "
+            "312833331 rounds 15 batches 12 batched 16 | recovery "
+            "0 0 0 ckpt 0 trips 0 faulted 0 quarantined 0 mttr 0 "
+            "worst 0 | cache 16 4 12 10 9 1 saved 93517268 | "
+            "fairness 858755907659 | crc 4205966482";
+        scenarios.push_back(std::move(s));
+    }
+    {
+        // Three replicas, one crash, checkpoint restores.
+        PinnedServe s{"crash-3rep-ckpt", {}, {}, nullptr};
+        s.config.replicas = 3;
+        s.config.quantum_s = 10.0;
+        s.config.batch_max = 8;
+        s.config.checkpoint_interval_frames = 2;
+        s.config.checkpoint_cost_s = 0.0005;
+        s.config.faults = mustParse("kind=crash,replica=2,at-ms=70");
+        s.tenants.push_back(
+            makeTenant("A", 11, DeadlineClass::kInteractive, 8));
+        s.tenants.push_back(
+            makeTenant("B", 22, DeadlineClass::kInteractive, 8));
+        s.tenants.back().codec = makeIntraInterV1Config();
+        s.tenants.push_back(
+            makeTenant("C", 33, DeadlineClass::kStandard, 8));
+        s.tenants.push_back(
+            makeTenant("D", 44, DeadlineClass::kBulk, 8));
+        s.tenants.push_back(
+            makeTenant("E", 55, DeadlineClass::kStandard, 8));
+        s.tenants.back().codec = makeIntraInterV1Config();
+        s.expected =
+            "A0 E0 B0 C0 D0 A1 E1 B1 C1 D1 A2 E2 B2 C2 D2 A3 E3 "
+            "B3 C3 D3 A4 E4 D4 B4 C4 A5 E5 D5 B5 C5 A6 E6 D6 B6 "
+            "C6 A7 E7 D7 B7 C7 | crash r2 @100000us: C->r1+ckpt "
+            "D->r0+ckpt | fleet 5 5 0 3 busy 65579238 makespan "
+            "238998851 rounds 39 batches 21 batched 40 | recovery "
+            "1 2 0 ckpt 20 trips 0 faulted 0 quarantined 0 mttr "
+            "4081825 worst 4919944 | cache 40 0 40 40 0 40 saved "
+            "0 | fairness 989311509023 | crc 3140398128";
+        scenarios.push_back(std::move(s));
+    }
+    {
+        // A crash the survivor cannot absorb: bulk is shed.
+        PinnedServe s{"crash-sheds", {}, {}, nullptr};
+        s.config.replicas = 2;
+        s.config.quantum_s = 10.0;
+        s.config.batch_max = 8;
+        s.config.faults = DeviceFaultSpec::crashSecondary();
+        s.tenants.push_back(
+            makeTenant("A", 11, DeadlineClass::kInteractive, 8));
+        s.tenants.push_back(
+            makeTenant("B", 22, DeadlineClass::kStandard, 8));
+        s.tenants.push_back(
+            makeTenant("C", 33, DeadlineClass::kStandard, 8));
+        s.tenants.push_back(
+            makeTenant("D", 44, DeadlineClass::kBulk, 8));
+        s.config.admission_utilization_cap =
+            3.5 * unitUtilization(s.tenants[0], s.config);
+        s.expected =
+            "A0 C0 B0 D0 A1 C1 B1 D1 A2 C2 D2# D3# D4# D5# D6# "
+            "D7# B2 A3 C3 B3 A4 C4 B4 A5 C5 B5 A6 C6 B6 A7 C7 B7 "
+            "| crash r1 @66667us: B->r0 D->shed | fleet 4 4 0 2 "
+            "busy 32759002 makespan 237062130 rounds 21 batches "
+            "11 batched 26 | recovery 1 1 1 ckpt 0 trips 0 "
+            "faulted 0 quarantined 0 mttr 3931337 worst 3931337 | "
+            "cache 26 0 26 26 0 26 saved 0 | fairness "
+            "862220477709 | crc 2496868074";
+        scenarios.push_back(std::move(s));
+    }
+    {
+        // Restart then a second crash, with a stall and a throttle.
+        PinnedServe s{"restart-stall-throttle", {}, {}, nullptr};
+        s.config.replicas = 2;
+        s.config.quantum_s = 0.01;
+        s.config.batch_max = 4;
+        s.config.checkpoint_interval_frames = 3;
+        s.config.faults = mustParse(
+            "kind=crash,replica=1,at-ms=40,dur-ms=20;"
+            "kind=stall,replica=0,at-ms=20,dur-ms=15;"
+            "kind=throttle,replica=1,at-ms=60,dur-ms=80,derate=2;"
+            "kind=crash,replica=0,at-ms=100");
+        s.tenants.push_back(
+            makeTenant("A", 11, DeadlineClass::kInteractive, 10));
+        s.tenants.push_back(
+            makeTenant("B", 22, DeadlineClass::kStandard, 10));
+        s.tenants.back().codec = makeIntraInterV1Config();
+        s.tenants.push_back(
+            makeTenant("C", 33, DeadlineClass::kBulk, 10));
+        s.expected =
+            "A0 C0 B0 A1 C1 B1 A2 C2 B2 A3 B3 C3 A4 B4 C4 A5 B5 "
+            "C5 A6 B6 C6 A7 B7 C7 A8 B8 C8 A9 B9 C9 | crash r1 "
+            "@66667us: B->r0; crash r0 @100000us: A->r1+ckpt "
+            "B->r1+ckpt C->r1+ckpt | fleet 3 3 0 2 busy 47501053 "
+            "makespan 303726938 rounds 27 batches 13 batched 30 | "
+            "recovery 2 4 0 ckpt 9 trips 0 faulted 0 quarantined "
+            "0 mttr 4647425 worst 7230432 | cache 30 0 30 30 0 30 "
+            "saved 0 | fairness 993398402638 | crc 483263135";
+        scenarios.push_back(std::move(s));
+    }
+    {
+        // An oom window plus a poisoned tenant that trips its
+        // breaker.
+        PinnedServe s{"oom-poisoned-breaker", {}, {}, nullptr};
+        s.config.replicas = 2;
+        s.config.quantum_s = 10.0;
+        s.config.batch_max = 8;
+        s.config.breaker.failure_threshold = 2;
+        s.config.breaker.reprobe.initial_backoff_s = 0.1;
+        s.config.faults =
+            mustParse("kind=oom,replica=1,at-ms=30,dur-ms=40");
+        s.tenants.push_back(
+            makeTenant("A", 11, DeadlineClass::kInteractive, 10));
+        s.tenants.push_back(
+            makeTenant("P", 5, DeadlineClass::kStandard, 10));
+        s.tenants.back().fault_frames = {2, 3, 4};
+        s.tenants.back().queue_capacity = 0;
+        s.tenants.push_back(
+            makeTenant("C", 33, DeadlineClass::kBulk, 10));
+        s.expected =
+            "A0 C0 P0 A1 C1 P1~ A2 C2 P2~ A3 C3 A4 C4 A5 C5 P3^ "
+            "P4^ P5 A6 C6 P6 A7 C7 P7 A8 C8 P8 A9 C9 P9 |  | "
+            "fleet 3 3 0 2 busy 34161802 makespan 302554610 "
+            "rounds 35 batches 18 batched 28 | recovery 0 0 0 "
+            "ckpt 0 trips 1 faulted 2 quarantined 2 mttr 0 worst "
+            "0 | cache 26 0 26 26 0 26 saved 0 | fairness "
+            "954729475872 | crc 1902618457";
+        scenarios.push_back(std::move(s));
+    }
+    return scenarios;
+}
+
+/**
+ * Safety net for the scheduler: seven seeded scenarios covering
+ * DRR pacing, backpressure, the cache off and at capacity 1,
+ * crash failover with checkpoints and with shedding, restart,
+ * stall, throttle, oom and the breaker. Every report field, both
+ * trace strings and every frame's timing and bytes are pinned, and
+ * must not depend on the pool's worker count.
+ */
+TEST(ServeFingerprint, PinnedAcrossScenarios)
+{
+    const std::vector<PinnedServe> scenarios = pinnedScenarios();
+    for (const std::size_t workers :
+         {std::size_t{0}, std::size_t{3}}) {
+        ScopedGlobalPool pool(workers);
+        for (const PinnedServe &pinned : scenarios) {
+            auto report =
+                ServeScheduler(pinned.config, pinned.tenants).run();
+            ASSERT_TRUE(report.hasValue()) << pinned.name;
+            EXPECT_EQ(fingerprint(*report), pinned.expected)
+                << pinned.name << " at " << workers << " workers";
+        }
+    }
 }
 
 }  // namespace

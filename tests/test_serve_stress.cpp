@@ -2,8 +2,8 @@
  * @file
  * Serve-layer stress: 16 tenant sessions multiplexed over a small
  * shared pool, with batches racing on the worker threads — the TSan
- * job runs this to prove the batch latch, the reference cache and
- * the per-tenant encoder handoff are data-race free. The tenant mix
+ * job runs this to prove the batch TaskGroup, the reference cache
+ * and the per-tenant encoder handoff are data-race free. The tenant mix
  * varies with EDGEPCC_CHAOS_SEED (the chaos job sweeps it); every
  * assertion is seed-independent, and a second identical run must
  * reproduce the exact schedule (determinism under concurrency).

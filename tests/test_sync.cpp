@@ -212,9 +212,10 @@ TEST(Sync, ThreadPoolDrainsUnderAnnotatedLocking)
     ThreadPool pool(4);
     std::atomic<int> done{0};
     constexpr int kTasks = 200;
+    TaskGroup group(pool);
     for (int i = 0; i < kTasks; ++i)
-        pool.submit([&] { ++done; });
-    pool.wait();
+        group.run([&] { ++done; });
+    group.wait();
     EXPECT_EQ(done.load(), kTasks);
 }
 
