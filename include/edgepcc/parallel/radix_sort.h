@@ -13,42 +13,23 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace edgepcc {
 
-/** (Morton code, original index) pair sorted by radixSortPairs. */
-struct KeyIndex {
-    std::uint64_t key;
-    std::uint32_t index;
-};
-
-/**
- * Stable LSD radix sort of `pairs` by key, ascending.
- *
- * @param pairs    the data to sort in place.
- * @param key_bits number of significant low bits in the keys; digits
- *                 above it are skipped. Must be in [1, 64].
- */
-void radixSortPairs(std::vector<KeyIndex> &pairs, int key_bits = 64);
-
-/** Stable LSD radix sort of raw 64-bit keys, ascending. */
-void radixSortKeys(std::vector<std::uint64_t> &keys, int key_bits = 64);
-
 /**
  * Stable LSD radix sort of parallel SoA arrays: `keys[i]` travels
- * with `values[i]`. This is the hot-path variant (the Morton order
- * stage sorts codes and the permutation directly, with no KeyIndex
- * AoS staging): histograms for every pass are built in one sweep
- * over the keys, digit extraction in the scatter is SIMD-dispatched
- * (platform/simd.h), and scratch comes from the bound FrameArena
- * (platform/arena.h) when one is active — zero heap traffic in
- * steady state — falling back to heap vectors otherwise.
+ * with `values[i]`, and equal keys keep their input order. The
+ * Morton order stage sorts codes and the permutation directly;
+ * histograms for every pass are built in one sweep over the keys,
+ * and scratch comes from the bound FrameArena (platform/arena.h)
+ * when one is active — zero heap traffic in steady state — falling
+ * back to heap vectors otherwise.
  *
  * @param keys     n 64-bit keys, sorted ascending in place.
  * @param values   n 32-bit payloads, permuted alongside the keys.
  * @param n        element count.
- * @param key_bits significant low key bits, in [1, 64].
+ * @param key_bits significant low key bits, in [1, 64]; digits
+ *                 wholly above them are skipped.
  */
 void radixSortKeysValues(std::uint64_t *keys,
                          std::uint32_t *values, std::size_t n,

@@ -2,11 +2,12 @@
  * @file
  * Runtime SIMD dispatch shim for the hot kernels.
  *
- * Every vectorized kernel in the codebase (Morton encode/decode,
- * radix digit extraction, segment min/max scans, CRC32C, XOR-FEC)
- * is compiled in up to three variants — scalar, SSE4.2, AVX2 — and
- * selects one at runtime through this shim. The contract
- * (docs/PERFORMANCE.md "Dispatch shim"):
+ * Each dispatched kernel carries at most two variants: the scalar
+ * reference and the one vector variant that the `kernels` section
+ * of tools/bench_runner shows paying on the benchmark host. Today
+ * that is AVX2 for Morton encode/decode and the GF(256)
+ * multiply-add (XOR parity included), and SSE4.2 for the hardware
+ * CRC32C. The contract (docs/PERFORMANCE.md "Dispatch shim"):
  *
  *  - The scalar fallback is ALWAYS built and is the reference
  *    implementation; SIMD variants must be byte-identical to it.
@@ -17,12 +18,15 @@
  *    host lacks silently clamps to what the host can run, so the
  *    same invocation works on any machine.
  *  - Kernels read `activeSimdLevel()` per call (a relaxed atomic
- *    load); they never re-detect.
+ *    load); they never re-detect. A dispatcher is a two-way `if`:
+ *    its vector variant when the active level reaches that ISA,
+ *    the scalar loop otherwise.
  *  - Tests that need to force a level mid-process (the env variable
  *    is read only once) use `setSimdLevelForTesting()`.
  *
  * Adding an ISA = one enum value, one detection line, one name, and
- * a new `case` in each dispatching kernel; see docs/PERFORMANCE.md.
+ * a variant only in kernels whose bench row shows it paying; see
+ * docs/PERFORMANCE.md.
  *
  * The implementation lives in src/common/simd_dispatch.cpp (not
  * src/platform/) so that edgepcc::common kernels — CRC32C guards
@@ -85,21 +89,13 @@ SimdLevel setSimdLevelForTesting(SimdLevel level);
 void clearSimdLevelForTesting();
 
 /**
- * dst[i] ^= src[i] for `n` bytes, dispatched (AVX2: 32 B/step,
- * SSE4: 16 B/step). The XOR-parity FEC inner loop. `dst` and `src`
- * must not overlap.
- */
-void xorBytes(std::uint8_t *dst, const std::uint8_t *src,
-              std::size_t n);
-
-/**
  * dst[i] ^= coeff * src[i] in GF(256) (polynomial 0x11d) for `n`
- * bytes — the Reed-Solomon parity/recovery inner loop. Dispatched:
- * scalar goes through the common/gf256.h log/exp tables; SSE4/AVX2
- * split each byte into nibbles and resolve both products with
- * PSHUFB lookups into two 16-entry product tables derived from
- * `coeff`. coeff == 0 is a no-op, coeff == 1 degenerates to
- * xorBytes. `dst` and `src` must not overlap.
+ * bytes — the Reed-Solomon parity/recovery inner loop. Both
+ * variants split each byte into nibbles and look both products up
+ * in two 16-entry tables derived from `coeff` (scalar by index,
+ * AVX2 with PSHUFB). coeff == 0 is a no-op; coeff == 1 is a plain
+ * XOR (dispatched the same way), which is how XOR parity — RS row
+ * 0 — is built. `dst` and `src` must not overlap.
  */
 void gfMulAddBytes(std::uint8_t *dst, const std::uint8_t *src,
                    std::uint8_t coeff, std::size_t n);

@@ -341,7 +341,10 @@ class StreamSession
   public:
     StreamSession(CodecConfig codec, SessionConfig session);
 
-    /** Runs the whole stream; one SessionFrame per input frame. */
+    /** Runs the whole stream; one SessionFrame per input frame.
+     *  A failed allocation returns kResourceExhausted (never
+     *  throws), unless the receiver's ladder degrades it into a
+     *  concealed or skipped frame. */
     Expected<SessionReport> run(
         const std::vector<VoxelCloud> &frames);
 

@@ -6,11 +6,6 @@
 #include "edgepcc/common/trace.h"
 #include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/platform/arena.h"
-#include "edgepcc/platform/simd.h"
-
-#if EDGEPCC_SIMD_X86
-#include <immintrin.h>
-#endif
 
 namespace edgepcc {
 
@@ -39,9 +34,11 @@ midOf(std::int32_t lo, std::int32_t hi)
     return static_cast<std::int32_t>(sum >> 1);
 }
 
+/** Min and max of a segment's values. Deliberately scalar:
+ *  segments hold ~24 points, too few for vector lanes to pay. */
 void
-minMaxI32Scalar(const std::int32_t *v, std::size_t n,
-                std::int32_t &out_min, std::int32_t &out_max)
+minMaxI32(const std::int32_t *v, std::size_t n,
+          std::int32_t &out_min, std::int32_t &out_max)
 {
     std::int32_t vmin = v[0];
     std::int32_t vmax = v[0];
@@ -53,156 +50,15 @@ minMaxI32Scalar(const std::int32_t *v, std::size_t n,
     out_max = vmax;
 }
 
+/** Widest zigzag residual of a segment against `mid2`. */
 std::uint64_t
-maxZigzagI32Scalar(const std::int32_t *v, std::size_t n,
-                   std::int32_t mid2)
+maxZigzagI32(const std::int32_t *v, std::size_t n,
+             std::int32_t mid2)
 {
     std::uint64_t max_zig = 0;
     for (std::size_t i = 0; i < n; ++i)
         max_zig = std::max(max_zig, zigzagEncode(v[i] - mid2));
     return max_zig;
-}
-
-#if EDGEPCC_SIMD_X86
-
-__attribute__((target("sse4.2"))) void
-minMaxI32Sse4(const std::int32_t *v, std::size_t n,
-              std::int32_t &out_min, std::int32_t &out_max)
-{
-    std::size_t i = 0;
-    std::int32_t vmin = v[0];
-    std::int32_t vmax = v[0];
-    if (n >= 4) {
-        __m128i mn = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(v));
-        __m128i mx = mn;
-        for (i = 4; i + 4 <= n; i += 4) {
-            const __m128i lane = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(v + i));
-            mn = _mm_min_epi32(mn, lane);
-            mx = _mm_max_epi32(mx, lane);
-        }
-        alignas(16) std::int32_t tmp[4];
-        _mm_store_si128(reinterpret_cast<__m128i *>(tmp), mn);
-        vmin = std::min(std::min(tmp[0], tmp[1]),
-                        std::min(tmp[2], tmp[3]));
-        _mm_store_si128(reinterpret_cast<__m128i *>(tmp), mx);
-        vmax = std::max(std::max(tmp[0], tmp[1]),
-                        std::max(tmp[2], tmp[3]));
-    }
-    for (; i < n; ++i) {
-        vmin = std::min(vmin, v[i]);
-        vmax = std::max(vmax, v[i]);
-    }
-    out_min = vmin;
-    out_max = vmax;
-}
-
-__attribute__((target("avx2"))) void
-minMaxI32Avx2(const std::int32_t *v, std::size_t n,
-              std::int32_t &out_min, std::int32_t &out_max)
-{
-    std::size_t i = 0;
-    std::int32_t vmin = v[0];
-    std::int32_t vmax = v[0];
-    if (n >= 8) {
-        __m256i mn = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(v));
-        __m256i mx = mn;
-        for (i = 8; i + 8 <= n; i += 8) {
-            const __m256i lane = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(v + i));
-            mn = _mm256_min_epi32(mn, lane);
-            mx = _mm256_max_epi32(mx, lane);
-        }
-        alignas(32) std::int32_t tmp[8];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(tmp), mn);
-        for (int k = 0; k < 8; ++k)
-            vmin = std::min(vmin, tmp[k]);
-        _mm256_store_si256(reinterpret_cast<__m256i *>(tmp), mx);
-        for (int k = 0; k < 8; ++k)
-            vmax = std::max(vmax, tmp[k]);
-    }
-    for (; i < n; ++i) {
-        vmin = std::min(vmin, v[i]);
-        vmax = std::max(vmax, v[i]);
-    }
-    out_min = vmin;
-    out_max = vmax;
-}
-
-/**
- * max of zigzagEncode(v[i] - mid2) on four 64-bit lanes. AVX2 has
- * neither an arithmetic 64-bit right shift nor an unsigned 64-bit
- * max, so the sign fill uses cmpgt(0, x) (exactly x >> 63) and the
- * max uses a sign-flipped signed compare.
- */
-__attribute__((target("avx2"))) std::uint64_t
-maxZigzagI32Avx2(const std::int32_t *v, std::size_t n,
-                 std::int32_t mid2)
-{
-    std::size_t i = 0;
-    std::uint64_t max_zig = 0;
-    if (n >= 4) {
-        const __m256i mid = _mm256_set1_epi64x(mid2);
-        const __m256i zero = _mm256_setzero_si256();
-        const __m256i sign_flip =
-            _mm256_set1_epi64x(static_cast<long long>(1ull << 63));
-        __m256i best = zero;
-        for (; i + 4 <= n; i += 4) {
-            const __m256i w = _mm256_sub_epi64(
-                _mm256_cvtepi32_epi64(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(v + i))),
-                mid);
-            const __m256i zig = _mm256_xor_si256(
-                _mm256_slli_epi64(w, 1),
-                _mm256_cmpgt_epi64(zero, w));
-            const __m256i gt = _mm256_cmpgt_epi64(
-                _mm256_xor_si256(zig, sign_flip),
-                _mm256_xor_si256(best, sign_flip));
-            best = _mm256_blendv_epi8(best, zig, gt);
-        }
-        alignas(32) std::uint64_t tmp[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(tmp),
-                           best);
-        for (int k = 0; k < 4; ++k)
-            max_zig = std::max(max_zig, tmp[k]);
-    }
-    for (; i < n; ++i)
-        max_zig = std::max(max_zig, zigzagEncode(v[i] - mid2));
-    return max_zig;
-}
-
-#endif  // EDGEPCC_SIMD_X86
-
-void
-minMaxI32(const std::int32_t *v, std::size_t n,
-          std::int32_t &out_min, std::int32_t &out_max)
-{
-#if EDGEPCC_SIMD_X86
-    switch (activeSimdLevel()) {
-      case SimdLevel::kAvx2:
-        minMaxI32Avx2(v, n, out_min, out_max);
-        return;
-      case SimdLevel::kSse4:
-        minMaxI32Sse4(v, n, out_min, out_max);
-        return;
-      case SimdLevel::kScalar:
-        break;
-    }
-#endif
-    minMaxI32Scalar(v, n, out_min, out_max);
-}
-
-std::uint64_t
-maxZigzagI32(const std::int32_t *v, std::size_t n,
-             std::int32_t mid2)
-{
-#if EDGEPCC_SIMD_X86
-    if (activeSimdLevel() >= SimdLevel::kAvx2)
-        return maxZigzagI32Avx2(v, n, mid2);
-#endif
-    return maxZigzagI32Scalar(v, n, mid2);
 }
 
 }  // namespace
@@ -259,10 +115,7 @@ encodeSegmentAttr(const AttrChannels &channels,
     writer.writeVarint(config.quant_step);
 
     // Per-segment quantized scratch, SoA and arena-backed inside a
-    // frame (heap fallback for direct API calls outside one). The
-    // min/max and zigzag-max scans below are SIMD-dispatched; the
-    // quantization itself (roundDiv) and the variable-width bit
-    // pack stay scalar by design.
+    // frame (heap fallback for direct API calls outside one).
     const std::size_t max_segment = layout.points_per_segment;
     FrameArena *arena = currentFrameArena();
     std::vector<std::int32_t> quantized_heap;

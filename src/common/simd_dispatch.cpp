@@ -145,22 +145,6 @@ xorBytesScalar(std::uint8_t *dst, const std::uint8_t *src,
 
 #if EDGEPCC_SIMD_X86
 
-__attribute__((target("sse4.2"))) void
-xorBytesSse4(std::uint8_t *dst, const std::uint8_t *src,
-             std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i a = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(dst + i));
-        const __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i),
-                         _mm_xor_si128(a, b));
-    }
-    xorBytesScalar(dst + i, src + i, n - i);
-}
-
 __attribute__((target("avx2"))) void
 xorBytesAvx2(std::uint8_t *dst, const std::uint8_t *src,
              std::size_t n)
@@ -179,27 +163,19 @@ xorBytesAvx2(std::uint8_t *dst, const std::uint8_t *src,
 
 #endif  // EDGEPCC_SIMD_X86
 
-}  // namespace
-
+/** dst[i] ^= src[i]: the GF(256) multiply-add with coefficient 1
+ *  (XOR parity is Reed-Solomon row 0). */
 void
 xorBytes(std::uint8_t *dst, const std::uint8_t *src, std::size_t n)
 {
 #if EDGEPCC_SIMD_X86
-    switch (activeSimdLevel()) {
-      case SimdLevel::kAvx2:
+    if (activeSimdLevel() >= SimdLevel::kAvx2) {
         xorBytesAvx2(dst, src, n);
         return;
-      case SimdLevel::kSse4:
-        xorBytesSse4(dst, src, n);
-        return;
-      case SimdLevel::kScalar:
-        break;
     }
 #endif
     xorBytesScalar(dst, src, n);
 }
-
-namespace {
 
 /**
  * 16-entry nibble product tables for one coefficient: for byte
@@ -238,34 +214,6 @@ gfMulAddBytesScalar(std::uint8_t *dst, const std::uint8_t *src,
 }
 
 #if EDGEPCC_SIMD_X86
-
-__attribute__((target("sse4.2"))) void
-gfMulAddBytesSse4(std::uint8_t *dst, const std::uint8_t *src,
-                  std::uint8_t coeff, std::size_t n)
-{
-    const GfNibbleTables t = buildNibbleTables(coeff);
-    const __m128i lo_tbl = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(t.lo));
-    const __m128i hi_tbl = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(t.hi));
-    const __m128i nib = _mm_set1_epi8(0x0f);
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i s = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + i));
-        const __m128i d = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(dst + i));
-        const __m128i lo = _mm_shuffle_epi8(
-            lo_tbl, _mm_and_si128(s, nib));
-        const __m128i hi = _mm_shuffle_epi8(
-            hi_tbl,
-            _mm_and_si128(_mm_srli_epi16(s, 4), nib));
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(dst + i),
-            _mm_xor_si128(d, _mm_xor_si128(lo, hi)));
-    }
-    gfMulAddBytesScalar(dst + i, src + i, coeff, n - i);
-}
 
 __attribute__((target("avx2"))) void
 gfMulAddBytesAvx2(std::uint8_t *dst, const std::uint8_t *src,
@@ -310,15 +258,9 @@ gfMulAddBytes(std::uint8_t *dst, const std::uint8_t *src,
         return;
     }
 #if EDGEPCC_SIMD_X86
-    switch (activeSimdLevel()) {
-      case SimdLevel::kAvx2:
+    if (activeSimdLevel() >= SimdLevel::kAvx2) {
         gfMulAddBytesAvx2(dst, src, coeff, n);
         return;
-      case SimdLevel::kSse4:
-        gfMulAddBytesSse4(dst, src, coeff, n);
-        return;
-      case SimdLevel::kScalar:
-        break;
     }
 #endif
     gfMulAddBytesScalar(dst, src, coeff, n);

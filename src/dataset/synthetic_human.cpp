@@ -400,10 +400,11 @@ SyntheticHumanVideo::frame(int index) const
         buildSkeleton(spec_, height_, index);
     const std::uint32_t grid = 1u << spec_.grid_bits;
 
-    // Voxelize all samples, then dedupe via Morton sort.
-    std::vector<KeyIndex> keyed;
-    keyed.reserve(samples_.size());
-    std::vector<Color> colors(samples_.size());
+    // Voxelize all samples, then dedupe via Morton sort. The sort
+    // carries each sample's color, packed 0xRRGGBB, as its payload;
+    // it is stable, so each voxel keeps its lowest-index sample's.
+    std::vector<std::uint64_t> keys(samples_.size());
+    std::vector<std::uint32_t> rgb(samples_.size());
 
     for (std::size_t k = 0; k < samples_.size(); ++k) {
         const Sample &sample = samples_[k];
@@ -434,8 +435,7 @@ SyntheticHumanVideo::frame(int index) const
         const auto vz = static_cast<std::uint32_t>(std::clamp(
             std::lround(position.z), 0l,
             static_cast<long>(grid - 1)));
-        keyed.push_back(KeyIndex{mortonEncode(vx, vy, vz),
-                                 static_cast<std::uint32_t>(k)});
+        keys[k] = mortonEncode(vx, vy, vz);
 
         // Temporal appearance drift: real captures re-estimate
         // exposure/shading every frame, so the color field wobbles
@@ -453,26 +453,29 @@ SyntheticHumanVideo::frame(int index) const
         const double noise =
             spec_.color_noise * frameNoise(spec_.seed, k, index);
         const Color &c = sample.color;
-        colors[k] = Color{clampColor(c.r + shading_drift + noise),
-                          clampColor(c.g + shading_drift + noise),
-                          clampColor(c.b + shading_drift + noise)};
+        const std::uint32_t r = clampColor(c.r + shading_drift + noise);
+        const std::uint32_t g = clampColor(c.g + shading_drift + noise);
+        const std::uint32_t b = clampColor(c.b + shading_drift + noise);
+        rgb[k] = (r << 16) | (g << 8) | b;
     }
 
-    radixSortPairs(keyed, 3 * spec_.grid_bits);
+    radixSortKeysValues(keys.data(), rgb.data(), keys.size(),
+                        3 * spec_.grid_bits);
 
     VoxelCloud cloud(spec_.grid_bits);
-    cloud.reserve(keyed.size() / 3);
+    cloud.reserve(keys.size() / 3);
     std::uint64_t prev = ~std::uint64_t{0};
-    for (const KeyIndex &ki : keyed) {
-        if (ki.key == prev)
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (keys[i] == prev)
             continue;
-        prev = ki.key;
-        const MortonXyz xyz = mortonDecode(ki.key);
-        const Color &c = colors[ki.index];
+        prev = keys[i];
+        const MortonXyz xyz = mortonDecode(keys[i]);
         cloud.add(static_cast<std::uint16_t>(xyz.x),
                   static_cast<std::uint16_t>(xyz.y),
-                  static_cast<std::uint16_t>(xyz.z), c.r, c.g,
-                  c.b);
+                  static_cast<std::uint16_t>(xyz.z),
+                  static_cast<std::uint8_t>(rgb[i] >> 16),
+                  static_cast<std::uint8_t>(rgb[i] >> 8),
+                  static_cast<std::uint8_t>(rgb[i]));
     }
     return cloud;
 }

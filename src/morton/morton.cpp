@@ -1,7 +1,5 @@
 #include "edgepcc/morton/morton.h"
 
-#include <cstring>
-
 #include "edgepcc/platform/simd.h"
 
 #if EDGEPCC_SIMD_X86
@@ -75,100 +73,10 @@ mortonDecodeBatchScalar(const std::uint64_t *codes, std::size_t n,
 #if EDGEPCC_SIMD_X86
 
 // The same spread/compact mask sequence as the scalar path, run on
-// two (SSE4) or four (AVX2) 64-bit lanes at once. u16 inputs are
-// already below 2^21, so the initial 21-bit clamp is a no-op and is
-// skipped; every other step is the exact scalar computation per
-// lane, keeping the batch byte-identical to the reference.
-
-__attribute__((target("sse4.2"))) inline __m128i
-expandBitsSse(__m128i v)
-{
-    v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 32)),
-                      _mm_set1_epi64x(0x1f00000000ffffLL));
-    v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 16)),
-                      _mm_set1_epi64x(0x1f0000ff0000ffLL));
-    v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 8)),
-                      _mm_set1_epi64x(0x100f00f00f00f00fLL));
-    v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 4)),
-                      _mm_set1_epi64x(0x10c30c30c30c30c3LL));
-    v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 2)),
-                      _mm_set1_epi64x(0x1249249249249249LL));
-    return v;
-}
-
-__attribute__((target("sse4.2"))) inline __m128i
-compactBitsSse(__m128i v)
-{
-    v = _mm_and_si128(v, _mm_set1_epi64x(0x1249249249249249LL));
-    v = _mm_and_si128(_mm_xor_si128(v, _mm_srli_epi64(v, 2)),
-                      _mm_set1_epi64x(0x10c30c30c30c30c3LL));
-    v = _mm_and_si128(_mm_xor_si128(v, _mm_srli_epi64(v, 4)),
-                      _mm_set1_epi64x(0x100f00f00f00f00fLL));
-    v = _mm_and_si128(_mm_xor_si128(v, _mm_srli_epi64(v, 8)),
-                      _mm_set1_epi64x(0x1f0000ff0000ffLL));
-    v = _mm_and_si128(_mm_xor_si128(v, _mm_srli_epi64(v, 16)),
-                      _mm_set1_epi64x(0x1f00000000ffffLL));
-    v = _mm_and_si128(_mm_xor_si128(v, _mm_srli_epi64(v, 32)),
-                      _mm_set1_epi64x(0x1fffffLL));
-    return v;
-}
-
-__attribute__((target("sse4.2"))) inline __m128i
-loadTwoU16Sse(const std::uint16_t *p)
-{
-    std::uint32_t packed;
-    std::memcpy(&packed, p, 4);
-    return _mm_cvtepu16_epi64(
-        _mm_cvtsi32_si128(static_cast<int>(packed)));
-}
-
-__attribute__((target("sse4.2"))) void
-mortonEncodeBatchSse4(const std::uint16_t *x,
-                      const std::uint16_t *y,
-                      const std::uint16_t *z, std::size_t n,
-                      std::uint64_t *codes)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const __m128i ex = expandBitsSse(loadTwoU16Sse(x + i));
-        const __m128i ey = expandBitsSse(loadTwoU16Sse(y + i));
-        const __m128i ez = expandBitsSse(loadTwoU16Sse(z + i));
-        const __m128i code = _mm_or_si128(
-            ex, _mm_or_si128(_mm_slli_epi64(ey, 1),
-                             _mm_slli_epi64(ez, 2)));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(codes + i),
-                         code);
-    }
-    mortonEncodeBatchScalar(x + i, y + i, z + i, n - i, codes + i);
-}
-
-__attribute__((target("sse4.2"))) void
-mortonDecodeBatchSse4(const std::uint64_t *codes, std::size_t n,
-                      std::uint32_t *x, std::uint32_t *y,
-                      std::uint32_t *z)
-{
-    std::size_t i = 0;
-    alignas(16) std::uint64_t lane[2];
-    for (; i + 2 <= n; i += 2) {
-        const __m128i code = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(codes + i));
-        const __m128i cx = compactBitsSse(code);
-        const __m128i cy =
-            compactBitsSse(_mm_srli_epi64(code, 1));
-        const __m128i cz =
-            compactBitsSse(_mm_srli_epi64(code, 2));
-        _mm_store_si128(reinterpret_cast<__m128i *>(lane), cx);
-        x[i] = static_cast<std::uint32_t>(lane[0]);
-        x[i + 1] = static_cast<std::uint32_t>(lane[1]);
-        _mm_store_si128(reinterpret_cast<__m128i *>(lane), cy);
-        y[i] = static_cast<std::uint32_t>(lane[0]);
-        y[i + 1] = static_cast<std::uint32_t>(lane[1]);
-        _mm_store_si128(reinterpret_cast<__m128i *>(lane), cz);
-        z[i] = static_cast<std::uint32_t>(lane[0]);
-        z[i + 1] = static_cast<std::uint32_t>(lane[1]);
-    }
-    mortonDecodeBatchScalar(codes + i, n - i, x + i, y + i, z + i);
-}
+// four 64-bit lanes at once. u16 inputs are already below 2^21, so
+// the initial 21-bit clamp is a no-op and is skipped; every other
+// step is the exact scalar computation per lane, keeping the batch
+// byte-identical to the reference.
 
 __attribute__((target("avx2"))) inline __m256i
 expandBitsAvx2(__m256i v)
@@ -282,15 +190,9 @@ mortonEncodeBatch(const std::uint16_t *x, const std::uint16_t *y,
                   std::uint64_t *codes)
 {
 #if EDGEPCC_SIMD_X86
-    switch (activeSimdLevel()) {
-      case SimdLevel::kAvx2:
+    if (activeSimdLevel() >= SimdLevel::kAvx2) {
         mortonEncodeBatchAvx2(x, y, z, n, codes);
         return;
-      case SimdLevel::kSse4:
-        mortonEncodeBatchSse4(x, y, z, n, codes);
-        return;
-      case SimdLevel::kScalar:
-        break;
     }
 #endif
     mortonEncodeBatchScalar(x, y, z, n, codes);
@@ -302,15 +204,9 @@ mortonDecodeBatch(const std::uint64_t *codes, std::size_t n,
                   std::uint32_t *z)
 {
 #if EDGEPCC_SIMD_X86
-    switch (activeSimdLevel()) {
-      case SimdLevel::kAvx2:
+    if (activeSimdLevel() >= SimdLevel::kAvx2) {
         mortonDecodeBatchAvx2(codes, n, x, y, z);
         return;
-      case SimdLevel::kSse4:
-        mortonDecodeBatchSse4(codes, n, x, y, z);
-        return;
-      case SimdLevel::kScalar:
-        break;
     }
 #endif
     mortonDecodeBatchScalar(codes, n, x, y, z);

@@ -4,13 +4,9 @@
 #include <array>
 #include <cassert>
 #include <utility>
+#include <vector>
 
 #include "edgepcc/platform/arena.h"
-#include "edgepcc/platform/simd.h"
-
-#if EDGEPCC_SIMD_X86
-#include <immintrin.h>
-#endif
 
 namespace edgepcc {
 
@@ -20,117 +16,7 @@ constexpr int kDigitBits = 8;
 constexpr int kBuckets = 1 << kDigitBits;
 constexpr int kMaxPasses = 64 / kDigitBits;
 
-template <typename T, typename KeyOf>
-void
-radixSortImpl(std::vector<T> &data, int key_bits, const KeyOf &key_of)
-{
-    assert(key_bits >= 1 && key_bits <= 64);
-    if (data.size() < 2)
-        return;
-
-    std::vector<T> scratch(data.size());
-    const int passes = (key_bits + kDigitBits - 1) / kDigitBits;
-
-    for (int pass = 0; pass < passes; ++pass) {
-        const int shift = pass * kDigitBits;
-        std::array<std::size_t, kBuckets> counts{};
-        for (const T &item : data)
-            ++counts[(key_of(item) >> shift) & (kBuckets - 1)];
-
-        // Skip passes where every key shares the digit.
-        if (counts[(key_of(data[0]) >> shift) & (kBuckets - 1)] ==
-            data.size()) {
-            continue;
-        }
-
-        std::size_t offset = 0;
-        for (int bucket = 0; bucket < kBuckets; ++bucket) {
-            const std::size_t count = counts[bucket];
-            counts[bucket] = offset;
-            offset += count;
-        }
-        for (const T &item : data) {
-            const std::size_t bucket =
-                (key_of(item) >> shift) & (kBuckets - 1);
-            scratch[counts[bucket]++] = item;
-        }
-        data.swap(scratch);
-    }
-}
-
-#if EDGEPCC_SIMD_X86
-
-/** Digits of four consecutive keys for one pass, extracted with one
- *  vector shift+mask instead of four scalar chains. */
-__attribute__((target("avx2"))) inline void
-extractDigitsAvx2(const std::uint64_t *keys, int shift,
-                  std::uint64_t *digits)
-{
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(keys));
-    const __m256i d = _mm256_and_si256(
-        _mm256_srli_epi64(v, shift),
-        _mm256_set1_epi64x(kBuckets - 1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(digits), d);
-}
-
-__attribute__((target("avx2"))) void
-scatterPassAvx2(const std::uint64_t *src_k,
-                const std::uint32_t *src_v, std::uint64_t *dst_k,
-                std::uint32_t *dst_v, std::size_t n, int shift,
-                std::size_t *offsets)
-{
-    std::size_t i = 0;
-    alignas(32) std::uint64_t digits[4];
-    for (; i + 4 <= n; i += 4) {
-        extractDigitsAvx2(src_k + i, shift, digits);
-        for (int k = 0; k < 4; ++k) {
-            const std::size_t pos = offsets[digits[k]]++;
-            dst_k[pos] = src_k[i + static_cast<std::size_t>(k)];
-            dst_v[pos] = src_v[i + static_cast<std::size_t>(k)];
-        }
-    }
-    for (; i < n; ++i) {
-        const std::size_t bucket =
-            (src_k[i] >> shift) & (kBuckets - 1);
-        const std::size_t pos = offsets[bucket]++;
-        dst_k[pos] = src_k[i];
-        dst_v[pos] = src_v[i];
-    }
-}
-
-#endif  // EDGEPCC_SIMD_X86
-
-void
-scatterPassScalar(const std::uint64_t *src_k,
-                  const std::uint32_t *src_v, std::uint64_t *dst_k,
-                  std::uint32_t *dst_v, std::size_t n, int shift,
-                  std::size_t *offsets)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t bucket =
-            (src_k[i] >> shift) & (kBuckets - 1);
-        const std::size_t pos = offsets[bucket]++;
-        dst_k[pos] = src_k[i];
-        dst_v[pos] = src_v[i];
-    }
-}
-
 }  // namespace
-
-void
-radixSortPairs(std::vector<KeyIndex> &pairs, int key_bits)
-{
-    radixSortImpl(pairs, key_bits,
-                  [](const KeyIndex &pair) { return pair.key; });
-}
-
-void
-radixSortKeys(std::vector<std::uint64_t> &keys, int key_bits)
-{
-    radixSortImpl(keys, key_bits,
-                  [](std::uint64_t key) { return key; });
-}
 
 void
 radixSortKeysValues(std::uint64_t *keys, std::uint32_t *values,
@@ -172,44 +58,34 @@ radixSortKeysValues(std::uint64_t *keys, std::uint32_t *values,
         }
     }
 
-#if EDGEPCC_SIMD_X86
-    const bool use_avx2 = activeSimdLevel() >= SimdLevel::kAvx2;
-#endif
-
     std::uint64_t *src_k = keys;
     std::uint32_t *src_v = values;
     std::uint64_t *dst_k = key_scratch;
     std::uint32_t *dst_v = val_scratch;
     for (int pass = 0; pass < passes; ++pass) {
-        std::size_t *pass_counts =
+        std::size_t *offsets =
             counts.data() +
             static_cast<std::size_t>(pass) * kBuckets;
         // Skip passes where every key shares the digit (digit
         // uniformity is order-independent, so the pre-sweep
         // histogram stays valid across performed passes).
-        if (*std::max_element(pass_counts,
-                              pass_counts + kBuckets) == n) {
+        if (*std::max_element(offsets, offsets + kBuckets) == n)
             continue;
-        }
         std::size_t offset = 0;
         for (int bucket = 0; bucket < kBuckets; ++bucket) {
-            const std::size_t count = pass_counts[bucket];
-            pass_counts[bucket] = offset;
+            const std::size_t count = offsets[bucket];
+            offsets[bucket] = offset;
             offset += count;
         }
+        // The scatter stays scalar: it is bound by memory traffic,
+        // and its in-order walk is what makes the sort stable.
         const int shift = pass * kDigitBits;
-#if EDGEPCC_SIMD_X86
-        if (use_avx2) {
-            scatterPassAvx2(src_k, src_v, dst_k, dst_v, n, shift,
-                            pass_counts);
-        } else {
-            scatterPassScalar(src_k, src_v, dst_k, dst_v, n,
-                              shift, pass_counts);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t pos =
+                offsets[(src_k[i] >> shift) & (kBuckets - 1)]++;
+            dst_k[pos] = src_k[i];
+            dst_v[pos] = src_v[i];
         }
-#else
-        scatterPassScalar(src_k, src_v, dst_k, dst_v, n, shift,
-                          pass_counts);
-#endif
         std::swap(src_k, dst_k);
         std::swap(src_v, dst_v);
     }

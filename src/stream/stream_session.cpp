@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <new>
 #include <string>
 #include <utility>
 
@@ -1012,37 +1013,46 @@ StreamSession::run(const std::vector<VoxelCloud> &frames)
         !valid.isOk())
         return valid;
 
-    ScopedTrace trace("session.run");
-    RunState st(codec_, session_, frames.size());
-    for (std::size_t f = 0; f < frames.size(); ++f) {
-        OverloadFrame slot;
-        slot.frame_id = static_cast<std::uint32_t>(f);
-        if (!admitFrame(st, slot, frames.size()))
-            continue;
-        const FramePlan plan = planFrame(st);
-        auto encoded = encodeFrame(st, slot, frames[f], plan);
-        if (!encoded)
-            return encoded.status();
+    // Slicing, FEC, the channel and the receiver allocate outside
+    // the encoder's own guard; under memory pressure that must
+    // surface as a Status, never an exception escaping run().
+    try {
+        ScopedTrace trace("session.run");
+        RunState st(codec_, session_, frames.size());
+        for (std::size_t f = 0; f < frames.size(); ++f) {
+            OverloadFrame slot;
+            slot.frame_id = static_cast<std::uint32_t>(f);
+            if (!admitFrame(st, slot, frames.size()))
+                continue;
+            const FramePlan plan = planFrame(st);
+            auto encoded = encodeFrame(st, slot, frames[f], plan);
+            if (!encoded)
+                return encoded.status();
 
-        const Frame::Type type = encoded->stats.type;
-        if (type == Frame::Type::kIntra)
-            st.gop_id = slot.frame_id;
-        FrameSendInfo &info = st.sent[f];
-        info.payload_bytes = encoded->bitstream.size();
-        info.encode_profile = std::move(encoded->profile);
+            const Frame::Type type = encoded->stats.type;
+            if (type == Frame::Type::kIntra)
+                st.gop_id = slot.frame_id;
+            FrameSendInfo &info = st.sent[f];
+            info.payload_bytes = encoded->bitstream.size();
+            info.encode_profile = std::move(encoded->profile);
 
-        ChunkHeader base;
-        base.frame_id = slot.frame_id;
-        base.gop_id = st.gop_id;
-        base.frame_type = type;
-        // The slices view encoded->bitstream, which stays alive
-        // (and unmodified) through the NACK rounds.
-        const std::vector<ChunkView> slices = sendFrame(
-            st, base, ByteSpan(encoded->bitstream), plan, info);
-        runNackRounds(st, slices, info);
-        feedBack(st, slot.frame_id, type, info.payload_bytes);
+            ChunkHeader base;
+            base.frame_id = slot.frame_id;
+            base.gop_id = st.gop_id;
+            base.frame_type = type;
+            // The slices view encoded->bitstream, which stays alive
+            // (and unmodified) through the NACK rounds.
+            const std::vector<ChunkView> slices = sendFrame(
+                st, base, ByteSpan(encoded->bitstream), plan, info);
+            runNackRounds(st, slices, info);
+            feedBack(st, slot.frame_id, type, info.payload_bytes);
+        }
+        return finishRun(st,
+                         static_cast<std::uint32_t>(frames.size()));
+    } catch (const std::bad_alloc &) {
+        return resourceExhausted(
+            "StreamSession::run: allocation failed");
     }
-    return finishRun(st, static_cast<std::uint32_t>(frames.size()));
 }
 
 }  // namespace edgepcc

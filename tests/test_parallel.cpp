@@ -291,44 +291,58 @@ TEST(ExclusiveScan, KnownSequence)
               (std::vector<std::uint32_t>{0, 3, 4, 8, 9}));
 }
 
+/** Sorts `keys` in place with the identity permutation as payload;
+ *  returns where each sorted key came from. */
+std::vector<std::uint32_t>
+sortWithIndices(std::vector<std::uint64_t> &keys, int key_bits = 64)
+{
+    std::vector<std::uint32_t> values(keys.size());
+    for (std::uint32_t i = 0; i < values.size(); ++i)
+        values[i] = i;
+    radixSortKeysValues(keys.data(), values.data(), keys.size(),
+                        key_bits);
+    return values;
+}
+
 TEST(RadixSort, EmptyAndSingle)
 {
-    std::vector<KeyIndex> empty;
-    radixSortPairs(empty);
+    std::vector<std::uint64_t> empty;
+    EXPECT_TRUE(sortWithIndices(empty).empty());
     EXPECT_TRUE(empty.empty());
 
-    std::vector<KeyIndex> one{{42, 0}};
-    radixSortPairs(one);
-    EXPECT_EQ(one[0].key, 42u);
+    std::vector<std::uint64_t> one{42};
+    EXPECT_EQ(sortWithIndices(one),
+              (std::vector<std::uint32_t>{0}));
+    EXPECT_EQ(one[0], 42u);
 }
 
 TEST(RadixSort, MatchesStdSort)
 {
     Rng rng(6);
-    std::vector<KeyIndex> pairs(30000);
-    for (std::uint32_t i = 0; i < pairs.size(); ++i)
-        pairs[i] = {rng(), i};
-    std::vector<std::uint64_t> expected;
-    expected.reserve(pairs.size());
-    for (const auto &pair : pairs)
-        expected.push_back(pair.key);
+    std::vector<std::uint64_t> keys(30000);
+    for (auto &key : keys)
+        key = rng();
+    const std::vector<std::uint64_t> input = keys;
+    std::vector<std::uint64_t> expected = keys;
     std::sort(expected.begin(), expected.end());
 
-    radixSortPairs(pairs);
-    for (std::size_t i = 0; i < pairs.size(); ++i)
-        EXPECT_EQ(pairs[i].key, expected[i]);
+    const std::vector<std::uint32_t> from = sortWithIndices(keys);
+    EXPECT_EQ(keys, expected);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(input[from[i]], keys[i]);  // payload travels
 }
 
 TEST(RadixSort, IsStable)
 {
     // Equal keys must preserve their input index order.
-    std::vector<KeyIndex> pairs;
+    std::vector<std::uint64_t> keys;
     for (std::uint32_t i = 0; i < 1000; ++i)
-        pairs.push_back({i % 7, i});
-    radixSortPairs(pairs, 8);
-    for (std::size_t i = 1; i < pairs.size(); ++i) {
-        if (pairs[i - 1].key == pairs[i].key) {
-            EXPECT_LT(pairs[i - 1].index, pairs[i].index);
+        keys.push_back(i % 7);
+    const std::vector<std::uint32_t> from = sortWithIndices(keys, 8);
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+        ASSERT_LE(keys[i - 1], keys[i]);
+        if (keys[i - 1] == keys[i]) {
+            EXPECT_LT(from[i - 1], from[i]);
         }
     }
 }
@@ -337,22 +351,11 @@ TEST(RadixSort, RespectsKeyBitsLimit)
 {
     // Keys above key_bits are ignored by construction: with 8-bit
     // sorting, only the low byte decides the order.
-    std::vector<KeyIndex> pairs{{0x0102, 0}, {0x0201, 1}};
-    radixSortPairs(pairs, 8);
-    EXPECT_EQ(pairs[0].key, 0x0201u);  // low byte 0x01 first
-    EXPECT_EQ(pairs[1].key, 0x0102u);
-}
-
-TEST(RadixSort, KeysOnlyVariant)
-{
-    Rng rng(8);
-    std::vector<std::uint64_t> keys(10000);
-    for (auto &key : keys)
-        key = rng();
-    std::vector<std::uint64_t> expected = keys;
-    std::sort(expected.begin(), expected.end());
-    radixSortKeys(keys);
-    EXPECT_EQ(keys, expected);
+    std::vector<std::uint64_t> keys{0x0102, 0x0201};
+    const std::vector<std::uint32_t> from = sortWithIndices(keys, 8);
+    EXPECT_EQ(keys[0], 0x0201u);  // low byte 0x01 first
+    EXPECT_EQ(keys[1], 0x0102u);
+    EXPECT_EQ(from, (std::vector<std::uint32_t>{1, 0}));
 }
 
 /** Parameterized sweep over sizes and key widths. */
@@ -366,15 +369,19 @@ TEST_P(RadixSortSweep, SortedAscending)
     const auto [size, bits] = GetParam();
     Rng rng(static_cast<std::uint64_t>(size) * 131 +
             static_cast<std::uint64_t>(bits));
-    std::vector<KeyIndex> pairs(static_cast<std::size_t>(size));
+    std::vector<std::uint64_t> keys(static_cast<std::size_t>(size));
     const std::uint64_t mask =
         bits == 64 ? ~std::uint64_t{0}
                    : ((std::uint64_t{1} << bits) - 1);
-    for (std::uint32_t i = 0; i < pairs.size(); ++i)
-        pairs[i] = {rng() & mask, i};
-    radixSortPairs(pairs, bits);
-    for (std::size_t i = 1; i < pairs.size(); ++i)
-        EXPECT_LE(pairs[i - 1].key, pairs[i].key);
+    for (auto &key : keys)
+        key = rng() & mask;
+    const std::vector<std::uint64_t> input = keys;
+    const std::vector<std::uint32_t> from =
+        sortWithIndices(keys, bits);
+    for (std::size_t i = 1; i < keys.size(); ++i)
+        EXPECT_LE(keys[i - 1], keys[i]);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(input[from[i]], keys[i]);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -128,12 +128,16 @@ TEST(ParallelStress, RadixSortFromManyThreads)
     for (unsigned t = 0; t < 4; ++t) {
         sorters.emplace_back([t, &all_sorted] {
             Rng rng(900 + t);
-            std::vector<KeyIndex> pairs(50000);
-            for (std::uint32_t i = 0; i < pairs.size(); ++i)
-                pairs[i] = {rng(), i};
-            radixSortPairs(pairs, 64);
-            for (std::size_t i = 1; i < pairs.size(); ++i)
-                if (pairs[i - 1].key > pairs[i].key)
+            std::vector<std::uint64_t> keys(50000);
+            std::vector<std::uint32_t> values(keys.size());
+            for (std::uint32_t i = 0; i < keys.size(); ++i) {
+                keys[i] = rng();
+                values[i] = i;
+            }
+            radixSortKeysValues(keys.data(), values.data(),
+                                keys.size(), 64);
+            for (std::size_t i = 1; i < keys.size(); ++i)
+                if (keys[i - 1] > keys[i])
                     all_sorted.store(false);
         });
     }

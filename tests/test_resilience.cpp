@@ -214,10 +214,11 @@ TEST(ChunkStream, CorruptPayloadFailsCrc)
 TEST(ChunkStream, TruncatedChunkDetected)
 {
     const std::vector<std::uint8_t> payload(64, 0x11);
-    auto wire = serializeChunk(ChunkHeader{}, payload);
-    wire.resize(wire.size() - 10);
+    const auto wire = serializeChunk(ChunkHeader{}, payload);
+    const std::vector<std::uint8_t> truncated(wire.begin(),
+                                              wire.end() - 10);
     WireScanStats stats;
-    EXPECT_TRUE(scanWire(wire, &stats).empty());
+    EXPECT_TRUE(scanWire(truncated, &stats).empty());
     EXPECT_GT(stats.chunks_truncated, 0u);
 }
 

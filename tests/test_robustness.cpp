@@ -5,10 +5,10 @@
  * decode either fails cleanly or returns a structurally valid
  * cloud. Also the resource-exhaustion contract: the public codec
  * entry points return RESOURCE_EXHAUSTED (never throw) when an
- * allocation fails mid-encode/decode/serve — also when the failing
- * allocation happens in a pool task, the pool's own constructor or
- * a closing stage or span — and degenerate inputs (empty or
- * all-duplicate clouds) round-trip or fail cleanly.
+ * allocation fails mid-encode/decode/session/serve — also when the
+ * failing allocation happens in a pool task, the pool's own
+ * constructor or a closing stage or span — and degenerate inputs
+ * (empty or all-duplicate clouds) round-trip or fail cleanly.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +16,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iomanip>
 #include <memory>
 #include <new>
+#include <optional>
+#include <sstream>
 #include <string>
 
 #include "edgepcc/common/rng.h"
@@ -29,6 +32,7 @@
 #include "edgepcc/platform/arena.h"
 #include "edgepcc/serve/serve_scheduler.h"
 #include "edgepcc/stream/stream_file.h"
+#include "edgepcc/stream/stream_session.h"
 
 // -----------------------------------------------------------------
 // Allocation-failure injection
@@ -524,6 +528,90 @@ TEST_F(RobustnessTest, ServeSchedulerReturnsStatusOnAllocFailure)
                       StatusCode::kResourceExhausted)
                 << workers << " workers, after=" << after;
         }
+    }
+}
+
+/** Every SessionStats and FecStats counter of a report, one line. */
+std::string
+sessionCounters(const SessionReport &report)
+{
+    const SessionStats &s = report.stats;
+    const FecStats &f = report.fec;
+    std::ostringstream out;
+    out << std::setprecision(17) << "chunks " << s.chunks_sent
+        << " parity " << s.parity_sent << " delivered "
+        << s.frames_delivered << " lost " << s.frames_lost
+        << " nacks " << s.nacks << " retransmits " << s.retransmits
+        << " keyframes " << s.keyframes_forced << " ok "
+        << s.frames_ok << " resynced " << s.frames_resynced
+        << " concealed " << s.frames_concealed << " skipped "
+        << s.frames_skipped << " wire " << s.wire_bytes
+        << " backoff " << s.backoff_s << " | groups " << f.groups
+        << " parity " << f.parity_received << " recovered "
+        << f.recovered_chunks << " single " << f.single_loss_groups
+        << '/' << f.single_loss_recovered << " multi "
+        << f.multi_loss_groups << '/' << f.multi_loss_recovered
+        << " unrecovered " << f.unrecovered_groups;
+    return out.str();
+}
+
+TEST_F(RobustnessTest, StreamSessionReturnsStatusOnAllocFailure)
+{
+    // Slicing, RS parity, the lossy channel, NACK rounds and the
+    // receiver all allocate outside the encoder's own guard. A
+    // decoder failure inside the receiver may instead degrade one
+    // frame down the ladder (conceal or skip), which still reports
+    // every frame.
+    const CodecConfig codec = makeIntraInterV1Config();
+    SessionConfig config;
+    config.channel = ChannelSpec::lossy(0.05, 3);
+    config.mtu_payload = 600;
+    config.fec.enabled = true;
+    config.fec.scheme = FecScheme::kReedSolomon;
+    config.fec.group_size = 4;
+    config.fec.parity_chunks = 2;
+
+    for (const std::size_t workers :
+         {std::size_t{0}, std::size_t{3}}) {
+        ScopedGlobalPool pool(workers);
+        auto clean = StreamSession(codec, config).run(frames_);
+        ASSERT_TRUE(clean.hasValue());
+        const std::string expected = sessionCounters(*clean);
+
+        // Step through the whole run until the failure no longer
+        // fires; that last, clean run must match the reference.
+        bool saw_exhausted = false;
+        for (std::int64_t after = 0;; after += 23) {
+            ASSERT_LT(after, 100000) << "the sweep never completed";
+            StreamSession session(codec, config);
+            std::optional<Expected<SessionReport>> report;
+            bool fired = false;
+            try {
+                ScopedAllocFailure arm(after);
+                report.emplace(session.run(frames_));
+                fired = arm.fired();
+            } catch (const std::bad_alloc &) {
+                FAIL() << "bad_alloc escaped run(): " << workers
+                       << " workers, after=" << after;
+            }
+            if (!fired) {
+                ASSERT_TRUE(report->hasValue())
+                    << workers << " workers";
+                EXPECT_EQ(sessionCounters(**report), expected)
+                    << workers << " workers";
+                break;
+            }
+            if (report->hasValue()) {
+                EXPECT_EQ((*report)->frames.size(), frames_.size())
+                    << workers << " workers, after=" << after;
+            } else {
+                saw_exhausted = true;
+                EXPECT_EQ(report->status().code(),
+                          StatusCode::kResourceExhausted)
+                    << workers << " workers, after=" << after;
+            }
+        }
+        EXPECT_TRUE(saw_exhausted) << workers << " workers";
     }
 }
 

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "edgepcc/common/crc32c.h"
@@ -145,11 +147,14 @@ TEST(SimdEquivalence, RadixSortKeysValuesMatchesPairSort)
             // stability contract (equal keys keep input order).
             keys[i] = rng.bounded(257);
         }
-        std::vector<KeyIndex> pairs(n);
+        // Reference: a stable comparison sort of (key, index).
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> pairs(n);
         for (std::size_t i = 0; i < n; ++i)
-            pairs[i] = KeyIndex{keys[i],
-                                static_cast<std::uint32_t>(i)};
-        radixSortPairs(pairs, 48);
+            pairs[i] = {keys[i], static_cast<std::uint32_t>(i)};
+        std::stable_sort(pairs.begin(), pairs.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
+                         });
 
         for (const SimdLevel level : forceableLevels()) {
             ScopedSimdLevel forced(level);
@@ -159,9 +164,9 @@ TEST(SimdEquivalence, RadixSortKeysValuesMatchesPairSort)
                 v[i] = static_cast<std::uint32_t>(i);
             radixSortKeysValues(k.data(), v.data(), n, 48);
             for (std::size_t i = 0; i < n; ++i) {
-                EXPECT_EQ(k[i], pairs[i].key)
+                EXPECT_EQ(k[i], pairs[i].first)
                     << i << " " << simdLevelName(forced.applied());
-                EXPECT_EQ(v[i], pairs[i].index)
+                EXPECT_EQ(v[i], pairs[i].second)
                     << i << " " << simdLevelName(forced.applied());
             }
         }
@@ -206,30 +211,6 @@ TEST(SimdEquivalence, Crc32cMatchesScalarTable)
         ScopedSimdLevel forced(level);
         EXPECT_EQ(crc32c(kat, sizeof(kat)), 0xE3069283u)
             << simdLevelName(forced.applied());
-    }
-}
-
-TEST(SimdEquivalence, XorBytesMatchesScalarXor)
-{
-    Rng rng(11);
-    for (const std::size_t n :
-         {0u, 1u, 15u, 16u, 17u, 31u, 32u, 33u, 1000u}) {
-        std::vector<std::uint8_t> src(n), base(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            src[i] = static_cast<std::uint8_t>(rng.bounded(256));
-            base[i] = static_cast<std::uint8_t>(rng.bounded(256));
-        }
-        std::vector<std::uint8_t> reference = base;
-        for (std::size_t i = 0; i < n; ++i)
-            reference[i] ^= src[i];
-        for (const SimdLevel level : forceableLevels()) {
-            ScopedSimdLevel forced(level);
-            std::vector<std::uint8_t> dst = base;
-            xorBytes(dst.data(), src.data(), n);
-            EXPECT_EQ(dst, reference)
-                << "n=" << n << " level="
-                << simdLevelName(forced.applied());
-        }
     }
 }
 
