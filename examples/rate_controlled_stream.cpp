@@ -1,20 +1,28 @@
 /**
  * @file
- * Bandwidth-budgeted streaming: drives the codec with the
- * ReuseRateController so P-frame sizes converge to a bitrate
- * target by moving the paper's direct-reuse threshold knob
- * (Sec. VI-E) automatically.
+ * Bandwidth-budgeted streaming: a StreamSession whose redundancy
+ * controller moves the paper's direct-reuse threshold knob
+ * (Sec. VI-E) so that P frames fit a per-frame wire budget, with the
+ * Reed-Solomon parity it spends counted against that budget.
+ *
+ * The session keeps the paper's IPP pattern (max_gop_size =
+ * codec.gop_size) on a clean channel with 1200-byte slices. After
+ * every P frame the controller scales the threshold by
+ * (payload / budget) ^ rate_gain, where the payload budget is the
+ * wire budget times the data share k / (k + m) of its RS groups.
  *
  * Usage: rate_controlled_stream [target_kbit_per_frame] [frames]
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/metrics/quality.h"
-#include "edgepcc/stream/rate_controller.h"
+#include "edgepcc/stream/stream_session.h"
 
 int
 main(int argc, char **argv)
@@ -23,65 +31,60 @@ main(int argc, char **argv)
     const double target_kbit =
         argc > 1 ? std::atof(argv[1]) : 300.0;
     const int frames = argc > 2 ? std::atoi(argv[2]) : 12;
+    if (!(target_kbit > 0.0) || frames < 1) {
+        (void)std::fprintf(stderr,
+                           "usage: rate_controlled_stream "
+                           "[target_kbit_per_frame > 0] "
+                           "[frames >= 1]\n");
+        return 2;
+    }
 
     VideoSpec spec;
     spec.name = "rate-controlled";
     spec.target_points = 70000;
     SyntheticHumanVideo video(spec);
+    std::vector<VoxelCloud> clouds;
+    clouds.reserve(static_cast<std::size_t>(frames));
+    for (int f = 0; f < frames; ++f)
+        clouds.push_back(video.frame(f));
 
-    CodecConfig codec = makeIntraInterV1Config();
-    RateControllerConfig rc;
-    rc.target_bytes_per_frame =
+    const CodecConfig codec = makeIntraInterV1Config();
+    SessionConfig session;
+    session.channel = ChannelSpec::clean();
+    session.mtu_payload = 1200;
+    session.fec.enabled = true;
+    session.fec.scheme = FecScheme::kReedSolomon;
+    session.redundancy.enabled = true;
+    session.redundancy.wire_budget_bytes =
         static_cast<std::uint64_t>(target_kbit * 1000.0 / 8.0);
-    rc.gain = 0.7;
-    ReuseRateController controller(rc);
+    session.redundancy.max_gop_size = codec.gop_size;  // IPP
 
-    (void)std::printf("Target: %.0f kbit/frame (%.2f Mbit/s at 30 fps), "
-                "%d frames of ~%zu points\n\n",
-                target_kbit, target_kbit * 30.0 / 1e3, frames,
-                spec.target_points);
-    (void)std::printf("%5s %5s %10s %11s %10s %10s\n", "frame", "type",
-                "kbit", "threshold", "reuse [%]", "PSNR [dB]");
+    auto report = StreamSession(codec, session).run(clouds);
+    if (!report) {
+        (void)std::fprintf(stderr, "session failed: %s\n",
+                           report.status().toString().c_str());
+        return 1;
+    }
 
-    VideoDecoder decoder;
-    // The encoder picks up the controller's threshold at every GOP
-    // boundary (mid-GOP changes would desynchronize nothing, but
-    // GOP-aligned updates keep the quality steady within a group).
-    VideoEncoder encoder(codec);
-    for (int f = 0; f < frames; ++f) {
-        if (f % codec.gop_size == 0) {
-            codec.block_match.reuse_threshold =
-                controller.threshold();
-            encoder = VideoEncoder(codec);
-        }
-        const VoxelCloud frame = video.frame(f);
-        auto encoded = encoder.encode(frame);
-        if (!encoded) {
-            (void)std::fprintf(stderr, "encode failed: %s\n",
-                         encoded.status().toString().c_str());
-            return 1;
-        }
-        auto decoded = decoder.decode(encoded->bitstream);
-        if (!decoded) {
-            (void)std::fprintf(stderr, "decode failed: %s\n",
-                         decoded.status().toString().c_str());
-            return 1;
-        }
-        controller.onFrame(encoded->stats.type,
-                           encoded->stats.total_bytes);
+    (void)std::printf("Target: %.0f kbit/frame on the wire (%.2f "
+                      "Mbit/s at 30 fps), %d frames of ~%zu "
+                      "points\n\n",
+                      target_kbit, target_kbit * 30.0 / 1e3, frames,
+                      spec.target_points);
+    (void)std::printf("%5s %5s %13s %10s %10s\n", "frame", "type",
+                      "payload kbit", "wire kbit", "PSNR [dB]");
+    for (const SessionFrame &frame : report->frames) {
         (void)std::printf(
-            "%5d %5s %10.0f %11.1f %10.0f %10.1f\n", f,
-            encoded->stats.type == Frame::Type::kPredicted ? "P"
-                                                           : "I",
-            static_cast<double>(encoded->stats.total_bytes) *
-                8.0 / 1e3,
-            codec.block_match.reuse_threshold,
-            100.0 * encoded->stats.block_match.reuseFraction(),
-            attributePsnr(frame, decoded->cloud).psnr);
+            "%5u %5s %13.0f %10.0f %10.1f\n",
+            static_cast<unsigned>(frame.frame_id),
+            frame.type == Frame::Type::kPredicted ? "P" : "I",
+            static_cast<double>(frame.payload_bytes) * 8.0 / 1e3,
+            static_cast<double>(frame.wire_bytes) * 8.0 / 1e3,
+            attributePsnr(clouds[frame.frame_id], frame.cloud).psnr);
     }
     (void)std::printf("\nThe controller trades PSNR for bitrate by "
-                "raising the reuse threshold until\nP frames fit "
-                "the budget (I frames are bounded by the intra "
-                "codec).\n");
+                      "raising the reuse threshold until\nP frames "
+                      "fit the budget left after parity (I frames "
+                      "are bounded by the intra\ncodec).\n");
     return 0;
 }

@@ -21,7 +21,6 @@
 #include "edgepcc/stream/chunk_stream.h"
 #include "edgepcc/stream/lossy_channel.h"
 #include "edgepcc/stream/pipeline.h"
-#include "edgepcc/stream/rate_controller.h"
 #include "edgepcc/stream/stream_file.h"
 #include "edgepcc/stream/stream_session.h"
 

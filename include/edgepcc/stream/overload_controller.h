@@ -25,11 +25,10 @@
  * (EdgeDeviceModel over the recorded profile) scaled by a seedable
  * synthetic LoadSpec, so every ladder walk is deterministic and
  * tier-1 tests can pin exact rung sequences. A deadline miss
- * descends one rung immediately; recovery is hysteretic in the
- * EWMA style of AdaptiveGopController: the controller climbs one
- * rung only after `recover_after_clean` consecutive frames whose
- * smoothed utilization leaves `recover_headroom` of the budget
- * free.
+ * descends one rung immediately; recovery is hysteretic: the
+ * controller climbs one rung only after `recover_after_clean`
+ * consecutive frames whose EWMA-smoothed utilization leaves
+ * `recover_headroom` of the budget free.
  *
  * Admission control and the watchdog live in StreamSession: frames
  * arrive on a fixed fps cadence into a bounded in-flight queue with

@@ -1,15 +1,16 @@
 /**
  * @file
- * Unified redundancy negotiation: one controller for (bitrate,
- * GOP length, RS k/m) against a single wire budget.
+ * The stream session's one controller: GOP length and forced
+ * keyframes for every session, and (bitrate, RS k/m) against a
+ * single wire budget when enabled.
  *
- * Without it a session runs fixed FEC geometry (FecSpec) under
- * AdaptiveGopController, which halves the GOP on an EWMA of frame
- * losses, plus a forced keyframe after every undelivered frame;
- * neither sees the loss pattern or the parity bytes being spent.
- * This controller (opt-in via SessionConfig::redundancy) owns RS k
- * and m and makes the parity, GOP, keyframe and bitrate trades from
- * one model:
+ * StreamSession plans every frame from this controller and feeds
+ * every frame's delivery back to it. The GOP and keyframe rules
+ * hold for every session (a fixed GOP is min_gop_size ==
+ * max_gop_size). RedundancyConfig::enabled (requires RS FEC) adds
+ * the negotiation of RS k and m, which otherwise stay at the fixed
+ * FecSpec values, and of the reuse threshold. One model makes the
+ * parity, GOP, keyframe and bitrate trades:
  *
  *  - EWMA *burst length* — not just loss rate — picks the RS parity
  *    depth m: parity must cover the losses that actually arrive
@@ -23,18 +24,20 @@
  *  - GOP halving and forced keyframes react ONLY to genuinely
  *    unrecoverable loss (a frame still incomplete after parity
  *    decode and NACK rounds). Loss that parity absorbed costs
- *    parity bytes — it must not also cost keyframes.
+ *    parity bytes — it must not also cost keyframes. The GOP grows
+ *    back one step per grow_after_clean clean frames.
  *  - The encoder's payload budget is the wire budget minus the
  *    parity share actually being spent: payload_budget =
  *    wire_budget * k / (k + m). The reuse-threshold nudge (the
- *    paper's bitrate knob, same multiplicative rule as
- *    ReuseRateController) steers P-frame payloads toward that
- *    post-parity budget, so the overload/byte ladder sees the true
- *    cost of redundancy instead of discovering parity as surprise
- *    overshoot.
+ *    paper's bitrate knob, multiplied by (payload / budget) ^
+ *    rate_gain after every P frame) steers P-frame payloads toward
+ *    that post-parity budget, so the overload/byte ladder sees the
+ *    true cost of redundancy instead of discovering parity as
+ *    surprise overshoot.
  *
  * Deterministic: state depends only on the feedback sequence.
- * Thread-safe like AdaptiveGopController (mutex-guarded).
+ * Thread-safe: the state is mutex-guarded, so feedback may arrive
+ * from a receiver thread while the encode loop calls decide().
  */
 
 #ifndef EDGEPCC_STREAM_REDUNDANCY_CONTROLLER_H
@@ -49,6 +52,10 @@ namespace edgepcc {
 
 /** Controller knobs; defaults match the edge-link design point. */
 struct RedundancyConfig {
+    /** On: negotiate RS k/m (the session needs RS FEC) and, with a
+     *  wire budget, the reuse threshold. Off: the session keeps the
+     *  fixed FecSpec k/m and the codec's threshold. The GOP and
+     *  keyframe rules apply either way. */
     bool enabled = false;
 
     /** EWMA smoothing for the loss fraction and burst length. */
@@ -69,7 +76,8 @@ struct RedundancyConfig {
     double burst_safety = 3.0;
 
     /** GOP clamp + growth cadence (halve on unrecoverable loss,
-     *  grow one step per `grow_after_clean` clean frames). */
+     *  grow one step per `grow_after_clean` clean frames). Equal
+     *  bounds fix the GOP. */
     int min_gop_size = 1;
     int max_gop_size = 12;
     int grow_after_clean = 6;
@@ -123,8 +131,8 @@ class RedundancyController
     void onFrameFeedback(int chunks_sent, int chunks_lost,
                          int max_burst, bool delivered);
 
-    /** Encoded-size feedback for the bitrate nudge (P frames only,
-     *  like ReuseRateController; no-op when coupling is off). */
+    /** Encoded-size feedback for the bitrate nudge (P frames only;
+     *  no-op when coupling is off). */
     void onEncodedFrame(Frame::Type type,
                         std::uint64_t payload_bytes);
 

@@ -23,9 +23,10 @@
  *    FEC groups, ships everything through a fault-injection
  *    LossyChannel, answers receiver NACKs with bounded
  *    exponential-backoff retransmissions of the missing slices
- *    only, and feeds delivery back to one controller: the
- *    redundancy controller, or AdaptiveGopController plus a
- *    keyframe after each unrecovered loss.
+ *    only, and feeds delivery back to its one controller, the
+ *    RedundancyController: it sets every frame's GOP length and
+ *    forced keyframe, and also RS k/m and the bitrate rung when
+ *    SessionConfig::redundancy is enabled.
  *
  * Everything is deterministic given (codec config, session config,
  * input frames): the channel is seeded and no wall-clock time is
@@ -49,7 +50,6 @@
 #include "edgepcc/stream/chunk_stream.h"
 #include "edgepcc/stream/lossy_channel.h"
 #include "edgepcc/stream/overload_controller.h"
-#include "edgepcc/stream/rate_controller.h"
 #include "edgepcc/stream/redundancy_controller.h"
 
 namespace edgepcc {
@@ -286,19 +286,15 @@ struct SessionConfig {
      *  recoverable from parity) instead of wiping one group.
      *  1 is the contiguous grouping. Requires fec.enabled. */
     int fec_interleave = 1;
-    /** Adaptive keyframe insertion under sustained loss
-     *  (AdaptiveGopController). With the redundancy controller off,
-     *  an unrecovered loss also forces an I frame right after it,
-     *  so damage cannot propagate past the next frame. */
-    bool adaptive_gop = true;
-    AdaptiveGopConfig gop{};
     /**
-     * Unified redundancy negotiation (redundancy_controller.h):
-     * when enabled (requires fec.enabled with
-     * FecScheme::kReedSolomon), one controller picks (RS k/m, GOP
-     * length, reuse-threshold bitrate rung, forced keyframe)
-     * against a single wire budget and SUPERSEDES
-     * fec.group_size/parity_chunks and adaptive_gop.
+     * The session's one controller (redundancy_controller.h). It
+     * always sets the GOP length within [min_gop_size,
+     * max_gop_size] (equal bounds fix the GOP) and forces an I
+     * frame right after every unrecovered loss. When enabled
+     * (requires fec.enabled with FecScheme::kReedSolomon) it also
+     * negotiates RS k/m, superseding fec.group_size/parity_chunks,
+     * and the reuse-threshold bitrate rung against
+     * wire_budget_bytes.
      */
     RedundancyConfig redundancy{};
     /** Deadline-aware encode ladder + admission control + watchdog
@@ -324,8 +320,10 @@ struct SessionConfig {
  * Status): FEC group_size < 2 or > 255, RS parity m < 1 or
  * m >= group_size, k + m past the GF(256) Cauchy bound,
  * interleaving without FEC/slicing or with lanes that don't divide
- * the group's slice budget, redundancy without RS FEC or with
- * invalid bounds, and negative retry/backoff knobs.
+ * the group's slice budget, redundancy bounds out of order (checked
+ * for every session, since every session runs the controller),
+ * redundancy enabled without RS FEC, and negative retry/backoff
+ * knobs.
  * StreamSession::run calls this first; serve/pipeline layers
  * inherit the check.
  */

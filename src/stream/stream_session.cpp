@@ -431,32 +431,45 @@ validateSessionConfig(const SessionConfig &config)
                 ") so every lane carries equal-depth groups");
     }
 
+    // Every session runs the redundancy controller (it sets the GOP
+    // even when disabled), so its bounds are checked for every
+    // session; most are std::clamp ranges, which need lo <= hi.
     const RedundancyConfig &red = config.redundancy;
-    if (red.enabled) {
-        if (!fec.enabled || fec.scheme != FecScheme::kReedSolomon)
-            return invalidArgument(
-                "SessionConfig: redundancy controller requires "
-                "fec.enabled with FecScheme::kReedSolomon");
-        if (red.min_group_size < 2 ||
-            red.max_group_size < red.min_group_size)
-            return invalidArgument(
-                "SessionConfig: redundancy group-size bounds "
-                "invalid (need 2 <= min <= max)");
-        if (red.min_parity < 1 || red.max_parity < red.min_parity)
-            return invalidArgument(
-                "SessionConfig: redundancy parity bounds invalid "
-                "(need 1 <= min <= max)");
-        if (red.max_group_size + red.max_parity >
-            kRsMaxGroupPlusParity)
-            return invalidArgument(
-                "SessionConfig: redundancy max_group_size + "
-                "max_parity must be <= 255");
-        if (red.max_parity_share <= 0.0 ||
-            red.max_parity_share >= 1.0)
-            return invalidArgument(
-                "SessionConfig: redundancy max_parity_share must "
-                "be in (0, 1)");
-    }
+    if (red.enabled &&
+        (!fec.enabled || fec.scheme != FecScheme::kReedSolomon))
+        return invalidArgument(
+            "SessionConfig: redundancy controller requires "
+            "fec.enabled with FecScheme::kReedSolomon");
+    if (red.min_group_size < 2 ||
+        red.max_group_size < red.min_group_size)
+        return invalidArgument(
+            "SessionConfig: redundancy group-size bounds "
+            "invalid (need 2 <= min <= max)");
+    if (red.min_parity < 1 || red.max_parity < red.min_parity)
+        return invalidArgument(
+            "SessionConfig: redundancy parity bounds invalid "
+            "(need 1 <= min <= max)");
+    if (red.max_parity >= red.max_group_size)
+        return invalidArgument(
+            "SessionConfig: redundancy max_parity must be < "
+            "max_group_size, so every negotiated k > m");
+    if (red.max_group_size + red.max_parity >
+        kRsMaxGroupPlusParity)
+        return invalidArgument(
+            "SessionConfig: redundancy max_group_size + "
+            "max_parity must be <= 255");
+    if (red.max_parity_share <= 0.0 || red.max_parity_share >= 1.0)
+        return invalidArgument(
+            "SessionConfig: redundancy max_parity_share must "
+            "be in (0, 1)");
+    if (red.min_gop_size < 1 || red.max_gop_size < red.min_gop_size)
+        return invalidArgument(
+            "SessionConfig: redundancy GOP bounds invalid (need "
+            "1 <= min_gop_size <= max_gop_size)");
+    if (!(red.min_threshold <= red.max_threshold))
+        return invalidArgument(
+            "SessionConfig: redundancy min_threshold must be <= "
+            "max_threshold");
     return Status();
 }
 
@@ -480,8 +493,7 @@ struct FrameSendInfo {
 
 /** How one frame is coded and protected. */
 struct FramePlan {
-    /** GOP length for the encoder; nullopt leaves it alone. */
-    std::optional<int> gop_size;
+    int gop_size = 1;     ///< GOP length for the encoder
     int group_size = 0;   ///< FEC k; 0 without FEC
     int parity_rows = 0;  ///< parity chunks per group: 1 for XOR
     /** Reuse threshold (bitrate rung); negative leaves the codec
@@ -506,7 +518,6 @@ struct RunState {
     VideoEncoder encoder{codec};
     LossyChannel channel{session.channel};
     StreamReceiver receiver;
-    AdaptiveGopController gop{session.gop, codec.gop_size};
     RedundancyController redundancy{
         session.redundancy, codec.gop_size,
         codec.block_match.reuse_threshold};
@@ -527,9 +538,6 @@ struct RunState {
     std::uint32_t next_sequence = 0;
     std::uint32_t gop_id = 0;
     std::uint16_t next_fec_group = 0;
-    /** An unrecovered loss re-anchors the next encoded frame (when
-     *  the redundancy controller is off; it has its own rule). */
-    bool loss_keyframe = false;
     /** Channel stats at the last redundancy feedback: per-frame
      *  deltas are the deterministic stand-in for a receiver loss
      *  report. */
@@ -627,30 +635,26 @@ admitFrame(RunState &st, OverloadFrame &slot, std::size_t frame_count)
 }
 
 /**
- * The frame's plan (GOP, FEC k and m, reuse threshold, forced
- * keyframe) from the one controller in charge: the redundancy
- * controller when enabled, otherwise the fixed FEC config plus
- * AdaptiveGopController and a keyframe after an unrecovered loss.
+ * The frame's plan from the redundancy controller: the GOP length
+ * and forced keyframe always, and FEC k and m plus the reuse
+ * threshold when it is enabled (otherwise k and m are the fixed FEC
+ * config and the codec's threshold stays).
  */
 FramePlan
 planFrame(RunState &st)
 {
     const SessionConfig &session = st.session;
+    const RedundancyDecision decision = st.redundancy.decide();
     FramePlan plan;
+    plan.gop_size = decision.gop_size;
+    plan.force_keyframe = st.redundancy.consumeForcedKeyframe();
     if (session.redundancy.enabled) {
-        const RedundancyDecision negotiated = st.redundancy.decide();
-        plan.gop_size = negotiated.gop_size;
-        plan.group_size = negotiated.group_size;
-        plan.parity_rows = negotiated.parity_chunks;
-        plan.reuse_threshold = negotiated.reuse_threshold;
-        plan.force_keyframe = st.redundancy.consumeForcedKeyframe();
+        plan.group_size = decision.group_size;
+        plan.parity_rows = decision.parity_chunks;
+        plan.reuse_threshold = decision.reuse_threshold;
     } else {
-        if (session.adaptive_gop)
-            plan.gop_size = st.gop.gopSize();
         plan.group_size = session.fec.group_size;
         plan.parity_rows = session.fec.parity_chunks;
-        plan.force_keyframe = st.loss_keyframe;
-        st.loss_keyframe = false;
     }
     plan.group_size =
         session.fec.enabled ? std::max(plan.group_size, 1) : 0;
@@ -758,9 +762,8 @@ encodeFrame(RunState &st, const OverloadFrame &slot,
         encoder.updateCoding(tuned);
     }
     // Rungs from kInterOnly down pin their own GOP.
-    if (plan.gop_size.has_value() &&
-        (!overload.enabled || slot.rung < OverloadRung::kInterOnly))
-        encoder.setGopSize(*plan.gop_size);
+    if (!overload.enabled || slot.rung < OverloadRung::kInterOnly)
+        encoder.setGopSize(plan.gop_size);
     if (plan.force_keyframe) {
         encoder.forceKeyframe();
         ++st.report.stats.keyframes_forced;
@@ -908,11 +911,11 @@ runNackRounds(RunState &st, const std::vector<ChunkView> &slices,
 }
 
 /**
- * Feeds the frame's delivery back to the controller in charge.
- * Reorder-held copies may still surface later; the final flush
- * catches them, but delivery feedback uses the post-retry state (a
- * held chunk is late, i.e. lost for latency purposes but still
- * usable for decode).
+ * Feeds the frame's delivery and size back to the redundancy
+ * controller. Reorder-held copies may still surface later; the final
+ * flush catches them, but delivery feedback uses the post-retry
+ * state (a held chunk is late, i.e. lost for latency purposes but
+ * still usable for decode).
  */
 void
 feedBack(RunState &st, std::uint32_t frame_id, Frame::Type type,
@@ -923,15 +926,6 @@ feedBack(RunState &st, std::uint32_t frame_id, Frame::Type type,
         ++st.report.stats.frames_delivered;
     else
         ++st.report.stats.frames_lost;
-    if (!st.session.redundancy.enabled) {
-        // Unrecovered loss: re-anchor at the next frame so a lost
-        // I frame cannot poison the rest of its GOP.
-        if (!delivered)
-            st.loss_keyframe = true;
-        if (st.session.adaptive_gop)
-            st.gop.onFrameDelivery(delivered);
-        return;
-    }
     // Loss report from the channel-stat deltas of this frame's
     // sends (data + parity + retransmits). Using channel truth —
     // not post-recovery receiver state — keeps the burst estimate

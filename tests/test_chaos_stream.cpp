@@ -199,6 +199,7 @@ TEST(ChaosBurstFec, InterleaveImprovesRecoveredFraction)
 {
     const std::uint64_t seed = chaosSeed();
     const auto frames = chaosVideo(12, seed * 6000 + 19);
+    const CodecConfig codec = makeIntraInterV1Config();
 
     std::size_t flat_ok = 0;
     std::size_t striped_ok = 0;
@@ -212,16 +213,13 @@ TEST(ChaosBurstFec, InterleaveImprovesRecoveredFraction)
         contiguous.fec.enabled = true;
         contiguous.fec.group_size = 4;
         contiguous.max_retransmits = 0;
-        contiguous.adaptive_gop = false;
+        contiguous.redundancy.min_gop_size = codec.gop_size;
+        contiguous.redundancy.max_gop_size = codec.gop_size;
         SessionConfig interleaved = contiguous;
         interleaved.fec_interleave = 4;
 
-        auto flat = StreamSession(makeIntraInterV1Config(),
-                                  contiguous)
-                        .run(frames);
-        auto striped = StreamSession(makeIntraInterV1Config(),
-                                     interleaved)
-                           .run(frames);
+        auto flat = StreamSession(codec, contiguous).run(frames);
+        auto striped = StreamSession(codec, interleaved).run(frames);
         ASSERT_TRUE(flat.hasValue());
         ASSERT_TRUE(striped.hasValue());
         checkInvariants(*flat, frames.size());

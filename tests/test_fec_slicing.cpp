@@ -631,6 +631,7 @@ TEST(Fec, BurstChannelDropsConsecutiveRuns)
  */
 TEST(SessionFec, InterleaveSpreadsBurstAcrossGroups)
 {
+    const CodecConfig codec = makeIntraInterV1Config();
     const auto frames = testVideo(16, 91, 4000);
     SessionConfig contiguous;
     contiguous.channel = ChannelSpec::bursty(0.025, 3, 29);
@@ -638,17 +639,14 @@ TEST(SessionFec, InterleaveSpreadsBurstAcrossGroups)
     contiguous.fec.enabled = true;
     contiguous.fec.group_size = 4;
     contiguous.max_retransmits = 0;
-    contiguous.adaptive_gop = false;
+    contiguous.redundancy.min_gop_size = codec.gop_size;
+    contiguous.redundancy.max_gop_size = codec.gop_size;
 
     SessionConfig interleaved = contiguous;
     interleaved.fec_interleave = 4;
 
-    auto flat = StreamSession(makeIntraInterV1Config(),
-                              contiguous)
-                    .run(frames);
-    auto striped = StreamSession(makeIntraInterV1Config(),
-                                 interleaved)
-                       .run(frames);
+    auto flat = StreamSession(codec, contiguous).run(frames);
+    auto striped = StreamSession(codec, interleaved).run(frames);
     ASSERT_TRUE(flat.hasValue());
     ASSERT_TRUE(striped.hasValue());
 

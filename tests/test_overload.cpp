@@ -301,10 +301,12 @@ TEST(CoarsenCloudTest, ZeroBitsIsIdentityAndClampsAtOneBit)
 /** Common overload session setup: clean channel, fixed GOP, roomy
  *  admission queue — each test overrides what it exercises. */
 SessionConfig
-overloadSession(double deadline_s, const LoadSpec &load)
+overloadSession(const CodecConfig &codec, double deadline_s,
+                const LoadSpec &load)
 {
     SessionConfig session;
-    session.adaptive_gop = false;
+    session.redundancy.min_gop_size = codec.gop_size;
+    session.redundancy.max_gop_size = codec.gop_size;
     session.overload.enabled = true;
     session.overload.deadline_s = deadline_s;
     session.overload.target_fps = 30.0;
@@ -331,7 +333,7 @@ TEST(OverloadLadderTest, Burst2xWalksDeclaredOrderAndRecovers)
     ASSERT_GT(clean_s, 0.0);
 
     SessionConfig session =
-        overloadSession(1.8 * clean_s, LoadSpec::burst2x());
+        overloadSession(codec, 1.8 * clean_s, LoadSpec::burst2x());
     StreamSession stream(codec, session);
     auto report = stream.run(frames);
     ASSERT_TRUE(report.hasValue());
@@ -392,7 +394,8 @@ TEST(OverloadLadderTest, AdmissionDropsOldestUnderSustainedLoad)
     // admission control must shed the oldest queued frames.
     LoadSpec load;
     load.slowdown = 400.0;
-    SessionConfig session = overloadSession(1.4 * clean_s, load);
+    SessionConfig session =
+        overloadSession(codec, 1.4 * clean_s, load);
     session.overload.queue_capacity = 2;
 
     StreamSession stream(codec, session);
@@ -425,7 +428,8 @@ TEST(OverloadLadderTest, WatchdogTripsOnStalledGeometryStage)
     // 8..19 of stall-geometry) can trip anything, via the per-stage
     // soft timeout.
     SessionConfig session =
-        overloadSession(4.0 * clean_s, LoadSpec::stallGeometry());
+        overloadSession(codec, 4.0 * clean_s,
+                        LoadSpec::stallGeometry());
     StreamSession stream(codec, session);
     auto report = stream.run(frames);
     ASSERT_TRUE(report.hasValue());
@@ -454,7 +458,8 @@ TEST(OverloadLadderTest, InjectedAllocFailureShedsFrameAndSurvives)
 
     auto load = LoadSpec::parse("alloc-fail=2,alloc-fail=5");
     ASSERT_TRUE(load.hasValue());
-    SessionConfig session = overloadSession(4.0 * clean_s, *load);
+    SessionConfig session =
+        overloadSession(codec, 4.0 * clean_s, *load);
     StreamSession stream(codec, session);
     auto report = stream.run(frames);
     ASSERT_TRUE(report.hasValue());
@@ -480,13 +485,14 @@ TEST(OverloadLadderTest, IdleLoadNeverEngagesAndKeepsWireBytes)
     const CodecConfig codec = makeIntraInterV1Config();
 
     SessionConfig off;
-    off.adaptive_gop = false;
+    off.redundancy.min_gop_size = codec.gop_size;
+    off.redundancy.max_gop_size = codec.gop_size;
     StreamSession plain(codec, off);
     auto baseline = plain.run(frames);
     ASSERT_TRUE(baseline.hasValue());
 
     // Overload armed but idle: huge deadline, no injected load.
-    SessionConfig on = overloadSession(10.0, LoadSpec::none());
+    SessionConfig on = overloadSession(codec, 10.0, LoadSpec::none());
     StreamSession guarded(codec, on);
     auto report = guarded.run(frames);
     ASSERT_TRUE(report.hasValue());
@@ -572,7 +578,8 @@ TEST(OverloadBudgetSourceTest, WallClockTinyDeadlineBottomsOut)
     const std::vector<VoxelCloud> frames = testVideo(10);
     const CodecConfig codec = makeIntraOnlyConfig();
 
-    SessionConfig session = overloadSession(1e-9, LoadSpec::none());
+    SessionConfig session =
+        overloadSession(codec, 1e-9, LoadSpec::none());
     session.overload.budget_source =
         OverloadBudgetSource::kWallClock;
     StreamSession stream(codec, session);
@@ -595,7 +602,8 @@ TEST(OverloadBudgetSourceTest, WallClockHugeDeadlineStaysClean)
     const std::vector<VoxelCloud> frames = testVideo(8);
     const CodecConfig codec = makeIntraOnlyConfig();
 
-    SessionConfig session = overloadSession(1e6, LoadSpec::none());
+    SessionConfig session =
+        overloadSession(codec, 1e6, LoadSpec::none());
     session.overload.budget_source =
         OverloadBudgetSource::kWallClock;
     StreamSession stream(codec, session);

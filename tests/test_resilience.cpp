@@ -3,8 +3,8 @@
  * Loss-resilient streaming session tests: chunk framing round-trip
  * and resync, deterministic fault-injection channel, the decoder
  * degradation ladder (exact FrameOutcome sequences per loss
- * pattern), adaptive keyframe insertion, and the ISSUE-3 acceptance
- * sweep (5% loss over a 30-frame IPP stream).
+ * pattern), keyframe insertion and GOP regrowth after loss, and the
+ * acceptance sweep (5% loss over a 30-frame IPP stream).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "edgepcc/common/crc32c.h"
@@ -480,42 +481,6 @@ TEST_F(LadderTest, NackListMatchesMissingFrames)
 }
 
 // -----------------------------------------------------------------
-// Adaptive GOP controller
-// -----------------------------------------------------------------
-
-TEST(AdaptiveGop, SustainedLossShrinksGop)
-{
-    AdaptiveGopController gop(AdaptiveGopConfig{}, 12);
-    for (int i = 0; i < 10; ++i)
-        gop.onFrameDelivery(false);
-    EXPECT_EQ(gop.gopSize(), 1);
-    EXPECT_GT(gop.estimatedLoss(), 0.5);
-}
-
-TEST(AdaptiveGop, CleanChannelGrowsBack)
-{
-    AdaptiveGopConfig config;
-    AdaptiveGopController gop(config, 12);
-    for (int i = 0; i < 10; ++i)
-        gop.onFrameDelivery(false);
-    ASSERT_EQ(gop.gopSize(), config.min_gop_size);
-    for (int i = 0; i < 200; ++i)
-        gop.onFrameDelivery(true);
-    EXPECT_EQ(gop.gopSize(), config.max_gop_size);
-    EXPECT_LT(gop.estimatedLoss(), config.low_loss);
-}
-
-TEST(AdaptiveGop, SporadicLossHoldsSteady)
-{
-    AdaptiveGopConfig config;
-    AdaptiveGopController gop(config, 3);
-    // One loss in fifty: EWMA stays under the high watermark.
-    for (int i = 0; i < 150; ++i)
-        gop.onFrameDelivery(i % 50 != 0);
-    EXPECT_GE(gop.gopSize(), 3);
-}
-
-// -----------------------------------------------------------------
 // End-to-end session
 // -----------------------------------------------------------------
 
@@ -525,7 +490,8 @@ TEST(StreamSession, CleanChannelAllOkAndByteIdentical)
     const CodecConfig codec = makeIntraInterV1Config();
     SessionConfig session;
     session.channel = ChannelSpec::clean();
-    session.adaptive_gop = false;
+    session.redundancy.min_gop_size = codec.gop_size;  // fixed GOP
+    session.redundancy.max_gop_size = codec.gop_size;
 
     StreamSession stream(codec, session);
     auto report = stream.run(frames);
@@ -555,14 +521,16 @@ TEST(StreamSession, CleanChannelAllOkAndByteIdentical)
 
 TEST(StreamSession, RetransmissionRecoversDroppedChunks)
 {
+    const CodecConfig codec = makeIntraInterV1Config();
     const auto frames = testVideo(8);
     SessionConfig session;
     session.channel.drop_rate = 0.4;
     session.channel.seed = 13;
     session.max_retransmits = 6;  // enough that loss ~0.4^7 ~ 0
-    session.adaptive_gop = false;
+    session.redundancy.min_gop_size = codec.gop_size;  // fixed GOP
+    session.redundancy.max_gop_size = codec.gop_size;
 
-    StreamSession stream(makeIntraInterV1Config(), session);
+    StreamSession stream(codec, session);
     auto report = stream.run(frames);
     ASSERT_TRUE(report.hasValue());
     EXPECT_EQ(report->stats.frames_lost, 0u);
@@ -574,18 +542,52 @@ TEST(StreamSession, RetransmissionRecoversDroppedChunks)
 
 TEST(StreamSession, UnrecoveredLossForcesKeyframe)
 {
+    const CodecConfig codec = makeIntraInterV1Config();
     const auto frames = testVideo(10);
     SessionConfig session;
     session.channel.drop_rate = 0.5;
     session.channel.seed = 3;
     session.max_retransmits = 0;  // every drop is unrecovered
-    session.adaptive_gop = false;
+    session.redundancy.min_gop_size = codec.gop_size;  // fixed GOP
+    session.redundancy.max_gop_size = codec.gop_size;
 
-    StreamSession stream(makeIntraInterV1Config(), session);
+    StreamSession stream(codec, session);
     auto report = stream.run(frames);
     ASSERT_TRUE(report.hasValue());
     EXPECT_GT(report->stats.frames_lost, 0u);
     EXPECT_GT(report->stats.keyframes_forced, 0u);
+}
+
+/**
+ * A default session (redundancy.enabled off) runs the redundancy
+ * controller's GOP rule. The clean start grows the GOP from 3 to 4;
+ * the unrecovered loss of frame 6 forces a keyframe and halves it to
+ * 2, and it then regrows one step per 6 clean frames
+ * (grow_after_clean). Pins the frame types the receiver saw (the
+ * lost frame reads as I), the outcomes, the forced keyframes and the
+ * wire bytes.
+ */
+TEST(StreamSession, DefaultSessionRegrowsGopAfterLoss)
+{
+    const auto frames = testVideo(30, 91, 3000);
+    SessionConfig session;
+    session.channel = ChannelSpec::lossy(0.05, 1);
+    session.max_retransmits = 0;
+
+    StreamSession stream(makeIntraInterV1Config(), session);
+    auto report = stream.run(frames);
+    ASSERT_TRUE(report.hasValue());
+    std::string types;
+    std::string outcomes;
+    for (const SessionFrame &frame : report->frames) {
+        types += frame.type == Frame::Type::kIntra ? 'I' : 'P';
+        outcomes += frameOutcomeName(frame.outcome)[0];
+    }
+    EXPECT_EQ(types, "IPPIPPIIPIPIPIPPIPPIPPPIPPPIPP");
+    EXPECT_EQ(outcomes, "oooooocroooooooooooooooooooooo");
+    EXPECT_EQ(report->stats.frames_lost, 1u);
+    EXPECT_EQ(report->stats.keyframes_forced, 1u);
+    EXPECT_EQ(report->stats.wire_bytes, 225427u);
 }
 
 TEST(StreamSession, AcceptanceFivePercentLossThirtyFrames)

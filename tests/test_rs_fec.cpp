@@ -407,7 +407,9 @@ TEST(Redundancy, BurstLengthDrivesParityDepth)
 
 TEST(Redundancy, KeyframeAndGopReactOnlyToUnrecoverableLoss)
 {
-    RedundancyController ctrl(redundancyConfig(), 8, 15.0);
+    RedundancyConfig config = redundancyConfig();
+    config.min_gop_size = 2;
+    RedundancyController ctrl(config, 8, 15.0);
     // Recoverable loss: no keyframe, GOP untouched.
     ctrl.onFrameFeedback(20, 2, 2, true);
     EXPECT_FALSE(ctrl.consumeForcedKeyframe());
@@ -421,12 +423,23 @@ TEST(Redundancy, KeyframeAndGopReactOnlyToUnrecoverableLoss)
     for (int i = 0; i < 3; ++i)
         ctrl.onFrameFeedback(20, 0, 0, true);
     EXPECT_EQ(ctrl.decide().gop_size, 5);
+    // Sustained unrecoverable loss halves down to min_gop_size...
+    for (int i = 0; i < 10; ++i)
+        ctrl.onFrameFeedback(20, 20, 20, false);
+    EXPECT_EQ(ctrl.decide().gop_size, config.min_gop_size);
+    EXPECT_GT(ctrl.estimatedLoss(), 0.5);
+    // ...and a long clean streak regrows it to max_gop_size.
+    for (int i = 0; i < 200; ++i)
+        ctrl.onFrameFeedback(20, 0, 0, true);
+    EXPECT_EQ(ctrl.decide().gop_size, config.max_gop_size);
 }
 
 TEST(Redundancy, PayloadBudgetDiscountsParityShare)
 {
     RedundancyConfig config = redundancyConfig();
     config.wire_budget_bytes = 10000;
+    config.min_threshold = 5.0;
+    config.max_threshold = 100.0;
     RedundancyController ctrl(config, 8, 15.0);
     const RedundancyDecision d = ctrl.decide();
     const double k = d.group_size;
@@ -435,6 +448,10 @@ TEST(Redundancy, PayloadBudgetDiscountsParityShare)
               static_cast<std::uint64_t>(10000.0 * k / (k + m)));
     EXPECT_GE(d.reuse_threshold, 0.0);
 
+    // A P frame on budget leaves the threshold where it is.
+    ctrl.onEncodedFrame(Frame::Type::kPredicted,
+                        d.payload_budget_bytes);
+    EXPECT_DOUBLE_EQ(ctrl.decide().reuse_threshold, 15.0);
     // Overshooting the post-parity budget raises the threshold
     // (coarser P frames); undershooting lowers it back.
     ctrl.onEncodedFrame(Frame::Type::kPredicted,
@@ -448,6 +465,17 @@ TEST(Redundancy, PayloadBudgetDiscountsParityShare)
     const double before = ctrl.decide().reuse_threshold;
     ctrl.onEncodedFrame(Frame::Type::kIntra, 1);
     EXPECT_EQ(ctrl.decide().reuse_threshold, before);
+    // Sustained overshoot settles at max_threshold, sustained
+    // undershoot at min_threshold.
+    for (int i = 0; i < 50; ++i)
+        ctrl.onEncodedFrame(Frame::Type::kPredicted,
+                            d.payload_budget_bytes * 100);
+    EXPECT_DOUBLE_EQ(ctrl.decide().reuse_threshold,
+                     config.max_threshold);
+    for (int i = 0; i < 50; ++i)
+        ctrl.onEncodedFrame(Frame::Type::kPredicted, 1);
+    EXPECT_DOUBLE_EQ(ctrl.decide().reuse_threshold,
+                     config.min_threshold);
 }
 
 TEST(Redundancy, BudgetCouplingOffLeavesCodecAlone)
@@ -539,6 +567,34 @@ TEST(SessionValidation, RejectsControllersWithoutTheirDeps)
     EXPECT_FALSE(validateSessionConfig(red).isOk());
     red.fec.scheme = FecScheme::kReedSolomon;
     EXPECT_TRUE(validateSessionConfig(red).isOk());
+}
+
+/** Every session runs the redundancy controller, so its bounds are
+ *  checked with `enabled` off too; each rejected setup breaks a
+ *  std::clamp precondition (lo <= hi) inside the controller. */
+TEST(SessionValidation, RejectsRedundancyBoundsOutOfOrder)
+{
+    SessionConfig parity;
+    parity.redundancy.min_group_size = 2;
+    parity.redundancy.max_group_size = 3;
+    parity.redundancy.max_parity = 4;  // 4-chunk bursts: k 3, m 4
+    EXPECT_FALSE(validateSessionConfig(parity).isOk());
+    parity.redundancy.max_parity = 2;  // k >= 3 > m
+    EXPECT_TRUE(validateSessionConfig(parity).isOk());
+
+    SessionConfig gop;
+    gop.redundancy.min_gop_size = 6;
+    gop.redundancy.max_gop_size = 3;
+    EXPECT_FALSE(validateSessionConfig(gop).isOk());
+    gop.redundancy.min_gop_size = 0;
+    EXPECT_FALSE(validateSessionConfig(gop).isOk());
+    gop.redundancy.min_gop_size = 3;  // a fixed GOP
+    EXPECT_TRUE(validateSessionConfig(gop).isOk());
+
+    SessionConfig threshold;
+    threshold.redundancy.min_threshold = 50.0;
+    threshold.redundancy.max_threshold = 10.0;
+    EXPECT_FALSE(validateSessionConfig(threshold).isOk());
 }
 
 TEST(SessionValidation, RejectsNegativeRetryKnobs)

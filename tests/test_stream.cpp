@@ -1,5 +1,5 @@
 /** @file Tests for the streaming substrate (network model,
- *  end-to-end pipeline, rate controller). */
+ *  end-to-end pipeline, stream files). */
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "edgepcc/common/rng.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/stream/pipeline.h"
-#include "edgepcc/stream/rate_controller.h"
 #include "edgepcc/stream/stream_file.h"
 
 namespace edgepcc {
@@ -223,110 +222,6 @@ TEST(StreamFile, MissingFileReported)
     const auto result = readStreamFile("/no/such/file.epcv");
     EXPECT_FALSE(result.hasValue());
     EXPECT_EQ(result.status().code(), StatusCode::kIoError);
-}
-
-TEST(RateController, IFramesDoNotAdjust)
-{
-    RateControllerConfig config;
-    config.initial_threshold = 15.0;
-    ReuseRateController controller(config);
-    controller.onFrame(Frame::Type::kIntra, 10 * 1000 * 1000);
-    EXPECT_DOUBLE_EQ(controller.threshold(), 15.0);
-    EXPECT_EQ(controller.framesObserved(), 1u);
-}
-
-TEST(RateController, OvershootRaisesThreshold)
-{
-    RateControllerConfig config;
-    config.target_bytes_per_frame = 100000;
-    ReuseRateController controller(config);
-    const double before = controller.threshold();
-    controller.onFrame(Frame::Type::kPredicted, 400000);
-    EXPECT_GT(controller.threshold(), before);
-}
-
-TEST(RateController, UndershootLowersThreshold)
-{
-    RateControllerConfig config;
-    config.target_bytes_per_frame = 100000;
-    ReuseRateController controller(config);
-    const double before = controller.threshold();
-    controller.onFrame(Frame::Type::kPredicted, 20000);
-    EXPECT_LT(controller.threshold(), before);
-}
-
-TEST(RateController, OnTargetIsStable)
-{
-    RateControllerConfig config;
-    config.target_bytes_per_frame = 100000;
-    ReuseRateController controller(config);
-    const double before = controller.threshold();
-    controller.onFrame(Frame::Type::kPredicted, 100000);
-    EXPECT_NEAR(controller.threshold(), before, 1e-9);
-}
-
-TEST(RateController, ClampsToRange)
-{
-    RateControllerConfig config;
-    config.target_bytes_per_frame = 100000;
-    config.min_threshold = 5.0;
-    config.max_threshold = 100.0;
-    ReuseRateController controller(config);
-    for (int i = 0; i < 50; ++i)
-        controller.onFrame(Frame::Type::kPredicted, 10000000);
-    EXPECT_DOUBLE_EQ(controller.threshold(), 100.0);
-    for (int i = 0; i < 50; ++i)
-        controller.onFrame(Frame::Type::kPredicted, 1);
-    EXPECT_DOUBLE_EQ(controller.threshold(), 5.0);
-}
-
-TEST(RateController, ClosedLoopShrinksPFrames)
-{
-    // Integration: drive the codec with the controller and check
-    // that P-frame sizes move toward a tight budget.
-    VideoSpec spec;
-    spec.name = "rc-test";
-    spec.seed = 77;
-    spec.target_points = 12000;
-    SyntheticHumanVideo video(spec);
-
-    CodecConfig codec = makeIntraInterV1Config();
-    RateControllerConfig rc;
-    // Budget far below what threshold 15 produces at this scale,
-    // so the controller must raise the threshold (more reuse).
-    rc.target_bytes_per_frame = 8000;
-    rc.gain = 0.8;
-    ReuseRateController controller(rc);
-    const double initial_threshold = controller.threshold();
-
-    VideoEncoder encoder(codec);
-    std::uint64_t first_p = 0, last_p = 0;
-    for (int f = 0; f < 9; ++f) {
-        CodecConfig current = codec;
-        current.block_match.reuse_threshold =
-            controller.threshold();
-        // Threshold changes only affect P frames; rebuild the
-        // encoder config in place via a fresh encoder per GOP
-        // would reset state, so mutate through a new encoder only
-        // at GOP starts.
-        if (f % codec.gop_size == 0) {
-            encoder = VideoEncoder(current);
-        }
-        auto encoded = encoder.encode(video.frame(f % 4));
-        ASSERT_TRUE(encoded.hasValue());
-        controller.onFrame(encoded->stats.type,
-                           encoded->stats.total_bytes);
-        if (encoded->stats.type == Frame::Type::kPredicted) {
-            if (first_p == 0)
-                first_p = encoded->stats.total_bytes;
-            last_p = encoded->stats.total_bytes;
-        }
-    }
-    ASSERT_GT(first_p, 0u);
-    // The controller raises the threshold and P frames shrink
-    // toward the budget (bounded below by the geometry payload).
-    EXPECT_GT(controller.threshold(), initial_threshold);
-    EXPECT_LE(last_p, first_p);
 }
 
 }  // namespace

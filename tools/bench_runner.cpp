@@ -13,11 +13,17 @@
  * Usage:
  *   bench_runner [--config v1|v2|intra|tmc13|cwipc] [--frames N]
  *                [--points N] [--seed N] [--threads N]
- *                [--out FILE] [--trace FILE] [--measure-overhead]
+ *                [--out FILE] [--trace FILE] [--trace-verbosity N]
+ *                [--measure-overhead]
  *                [--loss R] [--channel-seed N]
  *                [--network wifi|lte|5g] [--mtu N] [--fec-group K]
+ *                [--fec-scheme xor|rs] [--fec-parity M]
+ *                [--burst-rate R] [--burst-length L]
  *                [--deadline-ms MS] [--load-spec SPEC]
- *                [--sessions N]
+ *                [--sessions N] [--replicas N] [--faults SPEC]
+ *
+ * --trace-verbosity 1 adds the per-kernel spans to the --trace
+ * export.
  *
  * With --loss R the same workload additionally runs through the
  * loss-resilient StreamSession over a ChannelSpec::lossy(R) channel
@@ -28,7 +34,9 @@
  * loss recovery -> decode -> render) evaluated once with pure
  * NACK/retransmission and once with XOR-parity FEC enabled, over a
  * channel derived from the selected --network profile at the given
- * loss rate.
+ * loss rate. --fec-scheme rs adds a third, Reed-Solomon mode with
+ * --fec-parity rows per group, and --burst-rate/--burst-length
+ * replace that channel with a pure burst channel.
  *
  * With --deadline-ms MS the workload additionally runs through the
  * deadline-aware overload ladder (stream/overload_controller.h)
@@ -42,8 +50,11 @@
  * runs through the multi-tenant ServeScheduler and a "serve" JSON
  * section is added: sessions per device, per-tenant latency
  * percentiles incl. the worst-tenant p99, the Jain fairness index
- * and cache hit accounting. Deterministic for the same reason the
- * overload section is: the fleet runs on the virtual device clock.
+ * and cache hit accounting. --replicas sizes the device fleet and
+ * --faults injects device faults, whose recovery lands in the
+ * section's "recovery" object. Deterministic for the same reason
+ * the overload section is: the fleet runs on the virtual device
+ * clock.
  */
 
 #include <algorithm>
@@ -292,7 +303,9 @@ runOverload(const std::vector<VoxelCloud> &frames,
         return load.status();
 
     SessionConfig session;
-    session.adaptive_gop = false;  // isolate the deadline ladder
+    // Fixed GOP: isolate the deadline ladder.
+    session.redundancy.min_gop_size = config.gop_size;
+    session.redundancy.max_gop_size = config.gop_size;
     session.overload.enabled = true;
     session.overload.deadline_s = deadline_ms * 1e-3;
     session.overload.load = *load;
@@ -1085,8 +1098,11 @@ usage()
         "                    [--measure-overhead]\n"
         "                    [--loss R] [--channel-seed N]\n"
         "                    [--network wifi|lte|5g] [--mtu N]\n"
-        "                    [--fec-group K] [--deadline-ms MS]\n"
+        "                    [--fec-group K] [--fec-scheme xor|rs]\n"
+        "                    [--fec-parity M] [--burst-rate R]\n"
+        "                    [--burst-length L] [--deadline-ms MS]\n"
         "                    [--load-spec SPEC] [--sessions N]\n"
+        "                    [--replicas N] [--faults SPEC]\n"
         "\n"
         "  --trace-verbosity N  span detail for --trace: 0 (default)\n"
         "                    stage-grained only, >= 1 adds the\n"
@@ -1109,7 +1125,8 @@ usage()
         "                    \"rs\" entry joins the modes comparison\n"
         "                    using Reed-Solomon parity\n"
         "  --fec-parity M    RS parity rows per group (default 2,\n"
-        "                    must be < --fec-group)\n"
+        "                    must be < --fec-group; read with\n"
+        "                    --fec-scheme rs only)\n"
         "  --burst-rate R    replace the modes-comparison channel\n"
         "                    with a pure burst channel: bursts of\n"
         "                    --burst-length drops start with\n"
@@ -1220,6 +1237,12 @@ main(int argc, char **argv)
             if (!v)
                 return usage();
             loss_rate = std::atof(v);
+            if (!(loss_rate >= 0.0 && loss_rate <= 1.0)) {
+                (void)std::fprintf(stderr,
+                             "bench_runner: --loss must be in "
+                             "[0, 1]\n");
+                return 2;
+            }
         } else if (arg == "--channel-seed") {
             const char *v = next();
             if (!v)
@@ -1290,11 +1313,6 @@ main(int argc, char **argv)
             return usage();
         }
     }
-    if (loss_rate > 1.0) {
-        (void)std::fprintf(stderr,
-                     "bench_runner: --loss must be in [0, 1]\n");
-        return 2;
-    }
     if (fec_group < 2) {
         (void)std::fprintf(stderr,
                      "bench_runner: --fec-group must be >= 2\n");
@@ -1306,7 +1324,8 @@ main(int argc, char **argv)
                      "rs\n");
         return 2;
     }
-    if (fec_parity < 1 || fec_parity >= fec_group) {
+    if (fec_scheme_name == "rs" &&
+        (fec_parity < 1 || fec_parity >= fec_group)) {
         (void)std::fprintf(stderr,
                      "bench_runner: --fec-parity must be in "
                      "[1, --fec-group)\n");
@@ -1320,7 +1339,7 @@ main(int argc, char **argv)
     }
     if (sessions < 0) {
         (void)std::fprintf(stderr,
-                     "bench_runner: --sessions must be >= 1\n");
+                     "bench_runner: --sessions must be >= 0\n");
         return 2;
     }
     if (replicas < 1) {
