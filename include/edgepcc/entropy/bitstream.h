@@ -78,6 +78,13 @@ class BitReader
     /** Bytes fully or partially consumed so far. */
     std::size_t byteOffset() const { return byte_; }
 
+    /**
+     * True when `n` more bytes follow byteOffset(). Exact for any
+     * `n`: a length prefix read from hostile bytes near 2^64 cannot
+     * wrap the test the way `byteOffset() + n <= size` does.
+     */
+    bool hasBytes(std::size_t n) const { return n <= size_ - byte_; }
+
     Status
     status() const
     {

@@ -10,9 +10,12 @@
  * candidate I-segments around its scaled position — no tree
  * traversal, no ICP. Candidates are scored with the 2-norm attribute
  * distance of paper Eq. 2 (the Diff_Squared / Squared_Sum kernels of
- * Fig. 9); blocks whose best match clears the reuse threshold are
- * stored as a pointer, the rest store per-point deltas that are
- * re-encoded with the intra segment codec.
+ * Fig. 9), one whole window per call of a SIMD-dispatched kernel
+ * (docs/PERFORMANCE.md "Dispatch shim"). The sums are exact
+ * integers at every level, so the payload is byte-identical to the
+ * scalar reference's. Blocks whose best match clears the reuse
+ * threshold are stored as a pointer, the rest store per-point
+ * deltas that are re-encoded with the intra segment codec.
  *
  * The reuse threshold is the quality/ratio knob: the paper's
  * Intra-Inter-V1 uses 300 and V2 uses 1200 (block totals at K~20

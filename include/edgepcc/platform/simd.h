@@ -5,9 +5,11 @@
  * Each dispatched kernel carries at most two variants: the scalar
  * reference and the one vector variant that the `kernels` section
  * of tools/bench_runner shows paying on the benchmark host. Today
- * that is AVX2 for Morton encode/decode and the GF(256)
- * multiply-add (XOR parity included), and SSE4.2 for the hardware
- * CRC32C. The contract (docs/PERFORMANCE.md "Dispatch shim"):
+ * that is AVX2 for Morton encode/decode, the block matcher's
+ * window score (file-local in src/interframe/block_matcher.cpp) and
+ * the GF(256) multiply-add (XOR parity included), and SSE4.2 for
+ * the hardware CRC32C. The contract (docs/PERFORMANCE.md
+ * "Dispatch shim"):
  *
  *  - The scalar fallback is ALWAYS built and is the reference
  *    implementation; SIMD variants must be byte-identical to it.

@@ -270,8 +270,7 @@ decodePredictingInto(const std::vector<std::uint8_t> &payload,
         const std::size_t packed_size =
             static_cast<std::size_t>(reader.readVarint());
         reader.alignToByte();
-        if (reader.overrun() ||
-            reader.byteOffset() + packed_size > payload.size())
+        if (reader.overrun() || !reader.hasBytes(packed_size))
             return corruptBitstream(
                 "predicting payload: truncated");
         std::vector<std::uint8_t> packed(

@@ -268,8 +268,7 @@ decodeRahtInto(const std::vector<std::uint8_t> &payload,
         const std::size_t packed_size =
             static_cast<std::size_t>(reader.readVarint());
         reader.alignToByte();
-        if (reader.overrun() ||
-            reader.byteOffset() + packed_size > payload.size())
+        if (reader.overrun() || !reader.hasBytes(packed_size))
             return corruptBitstream("RAHT payload: truncated");
         std::vector<std::uint8_t> packed(
             payload.begin() +

@@ -115,8 +115,7 @@ parseContainer(const std::vector<std::uint8_t> &bitstream)
         const std::size_t size =
             static_cast<std::size_t>(reader.readVarint());
         reader.alignToByte();
-        if (reader.overrun() ||
-            reader.byteOffset() + size > bitstream.size())
+        if (reader.overrun() || !reader.hasBytes(size))
             return corruptBitstream(
                 "frame container: truncated block");
         out.assign(

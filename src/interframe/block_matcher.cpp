@@ -6,6 +6,12 @@
 #include "edgepcc/common/trace.h"
 #include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/morton/morton.h"
+#include "edgepcc/platform/arena.h"
+#include "edgepcc/platform/simd.h"
+
+#if EDGEPCC_SIMD_X86
+#include <immintrin.h>
+#endif
 
 namespace edgepcc {
 
@@ -58,6 +64,140 @@ blockDiffSquared(const VoxelCloud &p, std::size_t p_begin,
     return sum;
 }
 
+/** Pairs one P-block of `kp` points compares with I-block `ib`:
+ *  all of them, unless the I-block is the short last one. */
+std::size_t
+matchLength(std::size_t kp, std::size_t ib, std::size_t k,
+            std::size_t ni)
+{
+    const std::size_t i_begin = ib * k;
+    return std::min(kp, std::min(ni, i_begin + k) - i_begin);
+}
+
+/**
+ * Scores the P-block [p_begin, p_begin + kp) against every
+ * candidate of `window`: sums[c] is blockDiffSquared over the
+ * matchLength() pairs of I-block window.start + c. The reference
+ * variant.
+ */
+void
+scoreWindowScalar(const VoxelCloud &p, std::size_t p_begin,
+                  std::size_t kp, const VoxelCloud &i,
+                  std::size_t k, Window window, std::uint64_t *sums)
+{
+    for (std::size_t c = 0; c < window.count; ++c) {
+        const std::size_t ib = window.start + c;
+        sums[c] = blockDiffSquared(p, p_begin, i, ib * k,
+                                   matchLength(kp, ib, k, i.size()));
+    }
+}
+
+#if EDGEPCC_SIMD_X86
+
+// The same sums on 16 x i16 lanes. Widened bytes differ by at most
+// 255, so each vpmaddwd pair sum and each 32-bit lane total over a
+// block of <= 32 pairs (32 * 3 * 255^2 < 2^31) is exact: the sums
+// equal the scalar ones, not approximate them.
+
+/** Zero-extends 16 colour bytes to 16 x i16. */
+__attribute__((target("avx2"))) inline __m256i
+widenAvx2(const std::uint8_t *bytes)
+{
+    return _mm256_cvtepu8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(bytes)));
+}
+
+/** Squares of `p - widen(i)` for the lanes in `keep`, as 8 x i32
+ *  pair sums. */
+__attribute__((target("avx2"))) inline __m256i
+squaredDiffAvx2(__m256i p, const std::uint8_t *i, __m256i keep)
+{
+    const __m256i d =
+        _mm256_and_si256(_mm256_sub_epi16(p, widenAvx2(i)), keep);
+    return _mm256_madd_epi16(d, d);
+}
+
+__attribute__((target("avx2"))) inline std::uint32_t
+horizontalSumAvx2(__m256i v)
+{
+    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
+                              _mm256_extracti128_si256(v, 1));
+    s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
+    return static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
+}
+
+/**
+ * scoreWindowScalar for 16 <= kp <= 32. Pairs [0, 16) take one
+ * load per channel; pairs [16, kp) take one load at kp - 16 that
+ * overlaps the first, with the lanes already summed masked off. The
+ * P-block is widened once per window. A candidate that is the short
+ * last I-block (fewer than kp points) takes the scalar loop.
+ */
+__attribute__((target("avx2"))) void
+scoreWindowAvx2(const VoxelCloud &p, std::size_t p_begin,
+                std::size_t kp, const VoxelCloud &i,
+                std::size_t k, Window window, std::uint64_t *sums)
+{
+    const std::size_t tail = kp - 16;
+    const __m256i head_r = widenAvx2(p.r().data() + p_begin);
+    const __m256i head_g = widenAvx2(p.g().data() + p_begin);
+    const __m256i head_b = widenAvx2(p.b().data() + p_begin);
+    const __m256i tail_r = widenAvx2(p.r().data() + p_begin + tail);
+    const __m256i tail_g = widenAvx2(p.g().data() + p_begin + tail);
+    const __m256i tail_b = widenAvx2(p.b().data() + p_begin + tail);
+    // Lane j of the tail load is pair tail + j: new once >= 16.
+    const __m256i all = _mm256_set1_epi16(-1);
+    const __m256i keep_tail = _mm256_cmpgt_epi16(
+        _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                          13, 14, 15),
+        _mm256_set1_epi16(static_cast<std::int16_t>(15 - tail)));
+    for (std::size_t c = 0; c < window.count; ++c) {
+        const std::size_t block = window.start + c;
+        const std::size_t i_begin = block * k;
+        const std::size_t km = matchLength(kp, block, k, i.size());
+        if (km != kp) {
+            sums[c] = blockDiffSquared(p, p_begin, i, i_begin, km);
+            continue;
+        }
+        const std::uint8_t *r = i.r().data() + i_begin;
+        const std::uint8_t *g = i.g().data() + i_begin;
+        const std::uint8_t *b = i.b().data() + i_begin;
+        __m256i acc = _mm256_add_epi32(
+            _mm256_add_epi32(squaredDiffAvx2(head_r, r, all),
+                             squaredDiffAvx2(head_g, g, all)),
+            squaredDiffAvx2(head_b, b, all));
+        if (tail != 0) {
+            acc = _mm256_add_epi32(
+                acc,
+                _mm256_add_epi32(
+                    _mm256_add_epi32(
+                        squaredDiffAvx2(tail_r, r + tail, keep_tail),
+                        squaredDiffAvx2(tail_g, g + tail, keep_tail)),
+                    squaredDiffAvx2(tail_b, b + tail, keep_tail)));
+        }
+        sums[c] = horizontalSumAvx2(acc);
+    }
+}
+
+#endif  // EDGEPCC_SIMD_X86
+
+/** Dispatches on `level`, read once per encode by the caller. */
+void
+scoreWindow(SimdLevel level, const VoxelCloud &p, std::size_t p_begin,
+            std::size_t kp, const VoxelCloud &i, std::size_t k,
+            Window window, std::uint64_t *sums)
+{
+#if EDGEPCC_SIMD_X86
+    if (level >= SimdLevel::kAvx2 && kp >= 16 && kp <= 32) {
+        scoreWindowAvx2(p, p_begin, kp, i, k, window, sums);
+        return;
+    }
+#endif
+    (void)level;
+    scoreWindowScalar(p, p_begin, kp, i, k, window, sums);
+}
+
 constexpr const char kMagic[3] = {'I', 'N', 'T'};
 
 }  // namespace
@@ -102,6 +242,20 @@ encodeInterAttr(const VoxelCloud &p_sorted,
 
     {
         TracedStage stage(recorder, "inter.match");
+        // One Eq.-2 sum per candidate of the current window; no
+        // window holds more candidates than there are I-blocks.
+        const std::size_t max_window = std::min<std::size_t>(
+            config.candidate_window, i_blocks);
+        FrameArena *arena = currentFrameArena();
+        std::vector<std::uint64_t> sums_heap;
+        std::uint64_t *sums = nullptr;
+        if (arena != nullptr) {
+            sums = arena->allocateArray<std::uint64_t>(max_window);
+        } else {
+            sums_heap.resize(max_window);
+            sums = sums_heap.data();
+        }
+        const SimdLevel level = activeSimdLevel();
         for (std::size_t pb = 0; pb < p_blocks; ++pb) {
             const std::size_t p_begin = p_layout.begin(
                 static_cast<std::uint32_t>(pb));
@@ -111,22 +265,19 @@ encodeInterAttr(const VoxelCloud &p_sorted,
 
             const Window window = candidateWindow(
                 pb, p_blocks, i_blocks, config.candidate_window);
+            scoreWindow(level, p_sorted, p_begin, kp, i_reference, k,
+                        window, sums);
 
             std::uint64_t best_diff = 0;
             std::uint32_t best = 0;
             std::size_t best_km = 1;
             bool have_best = false;
             for (std::size_t c = 0; c < window.count; ++c) {
-                const std::size_t ib = window.start + c;
-                const std::size_t i_begin = ib * k;
-                const std::size_t i_end =
-                    std::min(ni, i_begin + k);
                 const std::size_t km =
-                    std::min(kp, i_end - i_begin);
+                    matchLength(kp, window.start + c, k, ni);
                 if (km == 0)
                     continue;
-                const std::uint64_t diff = blockDiffSquared(
-                    p_sorted, p_begin, i_reference, i_begin, km);
+                const std::uint64_t diff = sums[c];
                 total_comparisons += km;
                 // Normalize per point so short tail blocks compare
                 // fairly against full-size ones.
@@ -303,6 +454,11 @@ decodeInterAttrInto(const std::vector<std::uint8_t> &payload,
     if (n_stored != np)
         return corruptBitstream(
             "inter payload: point count mismatch with geometry");
+    // The encoder always writes k <= np and p_blocks == ceil(np / k);
+    // checked before p_blocks sizes the per-block arrays below.
+    if (k > np || p_blocks != np / k + (np % k != 0 ? 1 : 0))
+        return corruptBitstream(
+            "inter payload: block layout mismatch with geometry");
 
     const std::size_t i_blocks = (ni + k - 1) / k;
     const int ptr_bits = std::max(
@@ -319,8 +475,7 @@ decodeInterAttrInto(const std::vector<std::uint8_t> &payload,
     const std::size_t delta_size =
         static_cast<std::size_t>(reader.readVarint());
     reader.alignToByte();
-    if (reader.overrun() ||
-        reader.byteOffset() + delta_size > payload.size())
+    if (reader.overrun() || !reader.hasBytes(delta_size))
         return corruptBitstream("inter payload: truncated");
 
     AttrChannels deltas;
@@ -342,9 +497,6 @@ decodeInterAttrInto(const std::vector<std::uint8_t> &payload,
     for (std::size_t pb = 0; pb < p_blocks; ++pb) {
         const std::size_t p_begin = pb * k;
         const std::size_t p_end = std::min(np, p_begin + k);
-        if (p_begin >= np)
-            return corruptBitstream(
-                "inter payload: block out of range");
         const Window window = candidateWindow(
             pb, p_blocks, i_blocks, window_size);
         const std::size_t ib = window.start + best_offset[pb];

@@ -375,8 +375,7 @@ decodeMacroBlockAttrInto(const std::vector<std::uint8_t> &payload,
         static_cast<std::size_t>(reader.readVarint());
     reader.alignToByte();
     EDGEPCC_CHECK_CORRUPT(
-        !reader.overrun() &&
-            reader.byteOffset() + packed_size <= payload.size(),
+        !reader.overrun() && reader.hasBytes(packed_size),
         "mb payload: truncated");
     // Raw attributes are 3 bytes per point for non-reused blocks:
     // never more than 3n in a well-formed stream.
@@ -486,8 +485,7 @@ decodeRawEntropyAttrInto(const std::vector<std::uint8_t> &payload,
         const std::size_t packed_size =
             static_cast<std::size_t>(reader.readVarint());
         reader.alignToByte();
-        if (reader.overrun() ||
-            reader.byteOffset() + packed_size > payload.size())
+        if (reader.overrun() || !reader.hasBytes(packed_size))
             return corruptBitstream("raw attr payload: truncated");
         std::vector<std::uint8_t> packed(
             payload.begin() +

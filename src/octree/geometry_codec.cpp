@@ -444,8 +444,7 @@ parsePayload(const std::vector<std::uint8_t> &payload)
             static_cast<std::size_t>(reader.readVarint());
         reader.alignToByte();
         EDGEPCC_CHECK_CORRUPT(
-            !reader.overrun() &&
-                reader.byteOffset() + packed_size <= payload.size(),
+            !reader.overrun() && reader.hasBytes(packed_size),
             "geometry payload: truncated entropy block");
         std::vector<std::uint8_t> packed(
             payload.begin() +
@@ -465,7 +464,7 @@ parsePayload(const std::vector<std::uint8_t> &payload)
         }
     } else {
         reader.alignToByte();
-        if (reader.byteOffset() + occupancy_size > payload.size())
+        if (!reader.hasBytes(occupancy_size))
             return corruptBitstream(
                 "geometry payload: truncated occupancy");
         header.occupancy.assign(

@@ -48,8 +48,7 @@ unpackStream(const std::vector<std::uint8_t> &bytes)
         const auto size =
             static_cast<std::size_t>(reader.readVarint());
         reader.alignToByte();
-        if (reader.overrun() ||
-            reader.byteOffset() + size > bytes.size())
+        if (reader.overrun() || !reader.hasBytes(size))
             return corruptBitstream("EPCV stream: truncated frame");
         frames.emplace_back(
             bytes.begin() +

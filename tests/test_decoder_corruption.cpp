@@ -12,19 +12,25 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "corruption_harness.h"
+#include "edgepcc/attr/predicting_transform.h"
+#include "edgepcc/attr/raht.h"
 #include "edgepcc/attr/segment_codec.h"
 #include "edgepcc/common/rng.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/entropy/range_coder.h"
+#include "edgepcc/interframe/block_matcher.h"
 #include "edgepcc/interframe/macroblock_codec.h"
 #include "edgepcc/morton/morton.h"
 #include "edgepcc/octree/geometry_codec.h"
 #include "edgepcc/stream/chunk_stream.h"
+#include "edgepcc/stream/stream_file.h"
 #include "edgepcc/stream/stream_session.h"
 
 namespace edgepcc {
@@ -97,6 +103,171 @@ TEST(CorruptBitstream, BitReaderSurvivesSweeps)
     const SweepStats stats = fullSweep(payload, decode, 1001);
     EXPECT_GT(stats.attempts, payload.size());
     EXPECT_GT(stats.rejected, 0u);
+}
+
+// -----------------------------------------------------------------
+// Length prefixes near 2^64
+// -----------------------------------------------------------------
+
+using HeaderFn = std::function<void(BitWriter &)>;
+
+/**
+ * Two payloads that open with `header` and then claim a block of
+ * 2^64 - 1 bytes and of 2^64 - (offset after the claim) bytes. Both
+ * wrap `offset + size` below the payload size, which 32 padding
+ * bytes keep above the offset.
+ */
+std::vector<std::vector<std::uint8_t>>
+hugePrefixPayloads(const HeaderFn &header)
+{
+    BitWriter probe;
+    header(probe);
+    probe.writeVarint(~std::uint64_t{0});
+    const std::uint64_t offset = probe.take().size();
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (const std::uint64_t size :
+         {~std::uint64_t{0}, std::uint64_t{0} - offset}) {
+        BitWriter writer;
+        header(writer);
+        writer.writeVarint(size);
+        std::vector<std::uint8_t> bytes = writer.take();
+        bytes.resize(bytes.size() + 32, 0);
+        payloads.push_back(std::move(bytes));
+    }
+    return payloads;
+}
+
+void
+writeMagic(BitWriter &writer, const char *magic)
+{
+    for (const char *c = magic; *c != '\0'; ++c)
+        writer.writeBits(static_cast<std::uint8_t>(*c), 8);
+}
+
+TEST(CorruptBitstream, HugeLengthPrefixRejected)
+{
+    // One point is a valid geometry for every payload header below.
+    const VoxelCloud cloud = surfaceCloud(61, 1, 7);
+    const std::size_t depth =
+        static_cast<std::size_t>(cloud.gridBits());
+    const std::pair<const char *, std::pair<HeaderFn, DecodeFn>>
+        cases[] = {
+            {"container",
+             {[](BitWriter &w) {
+                  writeMagic(w, "EPC");
+                  w.writeBits(1, 8);   // container version
+                  w.writeBits(0, 8);   // intra
+                  w.writeBits(0, 8);   // attribute kind
+                  w.writeBits(10, 8);  // grid bits
+              },
+              [](const std::vector<std::uint8_t> &b) {
+                  VideoDecoder decoder;
+                  return decoder.decode(b).status();
+              }}},
+            {"stream file",
+             {[](BitWriter &w) {
+                  writeMagic(w, "EPCV");
+                  w.writeVarint(1);  // frames
+              },
+              [](const std::vector<std::uint8_t> &b) {
+                  return unpackStream(b).status();
+              }}},
+            {"geometry entropy block",
+             {[](BitWriter &w) {
+                  writeMagic(w, "GEO");
+                  w.writeBits(1u << 1, 8);  // entropy-coded
+                  w.writeVarint(7);         // depth
+                  w.writeVarint(1);         // voxels
+                  w.writeVarint(7);         // occupancy bytes
+              },
+              [](const std::vector<std::uint8_t> &b) {
+                  return decodeGeometry(b).status();
+              }}},
+            // The node-count bound rejects this claim before the
+            // length check does.
+            {"geometry occupancy",
+             {[](BitWriter &w) {
+                  writeMagic(w, "GEO");
+                  w.writeBits(0, 8);
+                  w.writeVarint(7);
+                  w.writeVarint(1);
+              },
+              [](const std::vector<std::uint8_t> &b) {
+                  return decodeGeometry(b).status();
+              }}},
+            {"inter",
+             {[](BitWriter &w) {
+                  writeMagic(w, "INT");
+                  w.writeVarint(1);  // points
+                  w.writeVarint(1);  // blocks
+                  w.writeVarint(1);  // points per block
+                  w.writeVarint(1);  // window
+                  w.writeBits(0, 1);
+                  w.writeBits(0, 1);
+              },
+              [&cloud](const std::vector<std::uint8_t> &b) {
+                  VoxelCloud out = cloud;
+                  return decodeInterAttrInto(b, cloud, out);
+              }}},
+            {"macro-block",
+             {[](BitWriter &w) {
+                  writeMagic(w, "CWP");
+                  w.writeVarint(1);  // points
+                  w.writeVarint(1);  // macro-block bits
+                  w.writeVarint(1);  // blocks
+                  w.writeBits(0, 1);
+                  w.writeVarint(3);  // raw bytes
+              },
+              [&cloud](const std::vector<std::uint8_t> &b) {
+                  VoxelCloud out = cloud;
+                  return decodeMacroBlockAttrInto(b, cloud, out);
+              }}},
+            {"raw entropy",
+             {[](BitWriter &w) {
+                  writeMagic(w, "RWA");
+                  w.writeVarint(1);
+              },
+              [&cloud](const std::vector<std::uint8_t> &b) {
+                  VoxelCloud out = cloud;
+                  return decodeRawEntropyAttrInto(b, out);
+              }}},
+            {"RAHT",
+             {[depth](BitWriter &w) {
+                  writeMagic(w, "RAH");
+                  w.writeVarint(1000);  // quantizer step x 1000
+                  w.writeVarint(1);     // points
+                  w.writeVarint(0);     // merges
+                  for (std::size_t s = 0; s < 3 * depth; ++s)
+                      w.writeVarint(0);
+                  w.writeVarint(0);  // raw bytes
+              },
+              [&cloud](const std::vector<std::uint8_t> &b) {
+                  VoxelCloud out = cloud;
+                  return decodeRahtInto(b, out);
+              }}},
+            {"predicting",
+             {[](BitWriter &w) {
+                  writeMagic(w, "PRD");
+                  w.writeVarint(1000);
+                  w.writeVarint(1);  // points
+                  w.writeVarint(0);  // LoD levels
+                  w.writeVarint(1);  // neighbours
+                  w.writeVarint(0);  // raw bytes
+              },
+              [&cloud](const std::vector<std::uint8_t> &b) {
+                  VoxelCloud out = cloud;
+                  return decodePredictingInto(b, out);
+              }}},
+        };
+    for (const auto &[name, header_and_decode] : cases) {
+        const auto &[header, decode] = header_and_decode;
+        for (const auto &bytes : hugePrefixPayloads(header)) {
+            Status status;
+            EXPECT_NO_THROW(status = decode(bytes)) << name;
+            EXPECT_EQ(status.code(), StatusCode::kCorruptBitstream)
+                << name << ": " << status.message();
+        }
+    }
 }
 
 // -----------------------------------------------------------------
@@ -283,6 +454,56 @@ TEST(CorruptBitstream, MacroBlockDecoderSurvivesSweeps)
     const SweepStats stats =
         fullSweep(encoded->payload, decode, 4001);
     EXPECT_GT(stats.rejected, 0u);
+}
+
+// -----------------------------------------------------------------
+// Morton-window block matcher (the shipped P-frame path)
+// -----------------------------------------------------------------
+
+TEST(CorruptBitstream, BlockMatchDecoderSurvivesSweeps)
+{
+    const VoxelCloud i_frame = surfaceCloud(33, 1200, 7, 0);
+    const VoxelCloud p_frame = surfaceCloud(34, 1200, 7, 5);
+    BlockMatchConfig config;
+    auto encoded = encodeInterAttr(p_frame, i_frame, config);
+    ASSERT_TRUE(encoded.hasValue());
+
+    const DecodeFn decode =
+        [&i_frame,
+         &p_frame](const std::vector<std::uint8_t> &bytes) {
+            VoxelCloud out = p_frame;
+            for (std::size_t i = 0; i < out.size(); ++i)
+                out.setColor(i, Color{});
+            return decodeInterAttrInto(bytes, i_frame, out);
+        };
+
+    ASSERT_TRUE(decode(encoded->payload).isOk());
+    const SweepStats stats =
+        fullSweep(encoded->payload, decode, 4101);
+    EXPECT_GT(stats.rejected, 0u);
+
+    // 80-byte headers whose block layout does not fit the 1200
+    // geometry points: rejected before any per-block array is sized.
+    const std::pair<std::uint64_t, std::uint64_t> layouts[] = {
+        {std::uint64_t{1} << 27, 1},  // blocks, points per block
+        {std::uint64_t{1} << 40, 1},
+        {1, p_frame.size() + 1},
+        {p_frame.size() - 1, 1},
+    };
+    for (const auto &[blocks, k] : layouts) {
+        BitWriter writer;
+        writeMagic(writer, "INT");
+        writer.writeVarint(p_frame.size());
+        writer.writeVarint(blocks);
+        writer.writeVarint(k);
+        writer.writeVarint(100);  // window
+        std::vector<std::uint8_t> bytes = writer.take();
+        bytes.resize(80, 0);
+        Status status;
+        EXPECT_NO_THROW(status = decode(bytes)) << blocks;
+        EXPECT_EQ(status.code(), StatusCode::kCorruptBitstream)
+            << blocks << " x " << k;
+    }
 }
 
 // -----------------------------------------------------------------

@@ -13,15 +13,20 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "edgepcc/attr/segment_codec.h"
 #include "edgepcc/common/crc32c.h"
 #include "edgepcc/common/gf256.h"
 #include "edgepcc/common/rng.h"
+#include "edgepcc/common/work_counters.h"
 #include "edgepcc/core/codec_config.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
+#include "edgepcc/interframe/block_matcher.h"
 #include "edgepcc/morton/morton.h"
 #include "edgepcc/parallel/radix_sort.h"
 #include "edgepcc/platform/simd.h"
@@ -281,6 +286,146 @@ TEST(SimdEquivalence, RsParityRowsIdenticalAcrossLevels)
             EXPECT_EQ(parity, reference)
                 << "row=" << row << " level="
                 << simdLevelName(forced.applied());
+        }
+    }
+}
+
+/** A cloud of `n` points whose colours follow `mode`: 0 draws
+ *  each channel from {0, 255}, 1 paints every point `shade`, 2 is
+ *  a smooth random walk. Geometry is irrelevant to the matcher. */
+VoxelCloud
+matcherCloud(std::size_t n, int mode, std::uint8_t shade,
+             std::uint64_t seed)
+{
+    Rng rng(seed);
+    VoxelCloud cloud(12);
+    std::int32_t walk[3] = {128, 128, 128};
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint8_t rgb[3];
+        for (int c = 0; c < 3; ++c) {
+            if (mode == 0) {
+                rgb[c] = rng.bounded(2) != 0 ? 255 : 0;
+            } else if (mode == 1) {
+                rgb[c] = shade;
+            } else {
+                walk[c] = std::clamp(
+                    walk[c] + static_cast<std::int32_t>(
+                                  rng.bounded(9)) - 4,
+                    0, 255);
+                rgb[c] = static_cast<std::uint8_t>(walk[c]);
+            }
+        }
+        cloud.add(static_cast<std::uint16_t>(i % 4096),
+                  static_cast<std::uint16_t>(i / 4096), 0, rgb[0],
+                  rgb[1], rgb[2]);
+    }
+    return cloud;
+}
+
+/** Everything a block-match encode produces: payload, stats and
+ *  the bm.* kernel records the device model prices. */
+using MatchOutcome =
+    std::tuple<std::vector<std::uint8_t>, std::uint32_t,
+               std::uint32_t, std::uint64_t,
+               std::vector<std::tuple<std::string, std::uint64_t,
+                                      std::uint64_t, std::uint64_t,
+                                      std::uint64_t>>>;
+
+MatchOutcome
+encodeMatch(const VoxelCloud &p, const VoxelCloud &i,
+            const BlockMatchConfig &config)
+{
+    WorkRecorder recorder;
+    auto encoded = encodeInterAttr(p, i, config, &recorder);
+    EXPECT_TRUE(encoded.hasValue());
+    if (!encoded.hasValue())
+        return {};
+    MatchOutcome outcome{encoded->payload,
+                         encoded->stats.num_blocks,
+                         encoded->stats.reused_blocks,
+                         encoded->stats.delta_points,
+                         {}};
+    for (const auto &stage : recorder.profile().stages) {
+        for (const KernelWork &work : stage.kernels) {
+            if (work.name.rfind("bm.", 0) == 0)
+                std::get<4>(outcome).emplace_back(
+                    work.name, work.invocations, work.items,
+                    work.ops, work.bytes);
+        }
+    }
+    return outcome;
+}
+
+TEST(SimdEquivalence, BlockMatchIdenticalAcrossLevels)
+{
+    // Every block length K from 1 to 40 (n >= 40 * 39 makes each
+    // reachable) plus one whole-cloud block, each against a
+    // same-size reference and a shorter one whose last I-block is
+    // short.
+    constexpr std::size_t kPoints = 1600;
+    std::vector<std::uint32_t> block_counts{1};
+    for (std::size_t k = 1; k <= 40; ++k) {
+        const auto blocks =
+            static_cast<std::uint32_t>((kPoints + k - 1) / k);
+        SegmentCodecConfig layout;
+        layout.num_segments = blocks;
+        ASSERT_EQ(makeSegmentLayout(kPoints, layout)
+                      .points_per_segment,
+                  k);
+        block_counts.push_back(blocks);
+    }
+    const std::uint32_t windows[] = {1, 3, 100, 0xffffffffu};
+
+    for (int mode = 0; mode < 3; ++mode) {
+        // Mode 1 paints P and I different constant shades, so every
+        // candidate ties at a non-zero sum and the first must win.
+        // Mode 2 makes P the reference plus +-2 of noise, so some
+        // blocks are reused and some are not.
+        const VoxelCloud i_full = matcherCloud(kPoints, mode, 90, 12);
+        VoxelCloud p = matcherCloud(kPoints, mode, 100, 11);
+        if (mode == 2) {
+            Rng noise(13);
+            for (std::size_t j = 0; j < kPoints; ++j) {
+                const auto jitter = [&](std::uint8_t v) {
+                    return static_cast<std::uint8_t>(std::clamp(
+                        static_cast<int>(v) +
+                            static_cast<int>(noise.bounded(5)) - 2,
+                        0, 255));
+                };
+                p.setColor(j, Color{jitter(i_full.r()[j]),
+                                    jitter(i_full.g()[j]),
+                                    jitter(i_full.b()[j])});
+            }
+        }
+        for (const std::uint32_t blocks : block_counts) {
+            const std::size_t k = (kPoints + blocks - 1) / blocks;
+            std::size_t ni = kPoints * 3 / 4 + 1;
+            if (k > 1 && ni % k == 0)
+                --ni;
+            VoxelCloud i_short = i_full;
+            i_short.resize(ni);
+            const VoxelCloud *references[] = {&i_full, &i_short};
+            for (const VoxelCloud *i : references) {
+                for (const std::uint32_t window : windows) {
+                    BlockMatchConfig config;
+                    config.num_blocks = blocks;
+                    config.candidate_window = window;
+                    MatchOutcome reference;
+                    {
+                        ScopedSimdLevel forced(SimdLevel::kScalar);
+                        reference = encodeMatch(p, *i, config);
+                    }
+                    for (const SimdLevel level : forceableLevels()) {
+                        ScopedSimdLevel forced(level);
+                        EXPECT_EQ(encodeMatch(p, *i, config),
+                                  reference)
+                            << "mode=" << mode << " k=" << k
+                            << " ni=" << i->size()
+                            << " window=" << window << " level="
+                            << simdLevelName(forced.applied());
+                    }
+                }
+            }
         }
     }
 }

@@ -77,6 +77,7 @@
 #include "edgepcc/core/codec_config.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
+#include "edgepcc/interframe/block_matcher.h"
 #include "edgepcc/metrics/quality.h"
 #include "edgepcc/morton/morton.h"
 #include "edgepcc/parallel/radix_sort.h"
@@ -589,6 +590,31 @@ runKernelBench()
     for (std::size_t i = 0; i < kBytes; ++i)
         bytes[i] = static_cast<std::uint8_t>(rng.bounded(256));
     std::vector<std::uint8_t> parity(kBytes, 0);
+    // Consecutive frames: a smooth random-walk reference and a P
+    // frame that is the reference plus +-2 of noise.
+    VoxelCloud match_reference;
+    VoxelCloud match_p;
+    {
+        int walk[3] = {128, 128, 128};
+        for (std::size_t i = 0; i < kPoints; ++i) {
+            std::uint8_t ref[3];
+            std::uint8_t cur[3];
+            for (int c = 0; c < 3; ++c) {
+                walk[c] = std::clamp(
+                    walk[c] + static_cast<int>(rng.bounded(5)) - 2,
+                    0, 255);
+                ref[c] = static_cast<std::uint8_t>(walk[c]);
+                cur[c] = static_cast<std::uint8_t>(std::clamp(
+                    walk[c] + static_cast<int>(rng.bounded(5)) - 2,
+                    0, 255));
+            }
+            const auto vx = static_cast<std::uint16_t>(i % 1024);
+            const auto vy = static_cast<std::uint16_t>(i / 1024);
+            match_reference.add(vx, vy, 0, ref[0], ref[1], ref[2]);
+            match_p.add(vx, vy, 0, cur[0], cur[1], cur[2]);
+        }
+    }
+    const BlockMatchConfig match_config{};
 
     struct Kernel {
         const char *name;
@@ -647,6 +673,17 @@ runKernelBench()
              gfMulAddBytes(parity.data(), bytes.data(), 0x53,
                            kBytes);
              g_kernel_sink = g_kernel_sink + parity[kBytes - 1];
+         }},
+        // The whole inter attribute encode, so the row shows what
+        // the dispatched window score buys a P frame.
+        {"bm.match", kPoints,
+         [&] {
+             arena.reset();
+             auto encoded = encodeInterAttr(match_p, match_reference,
+                                            match_config);
+             g_kernel_sink =
+                 g_kernel_sink +
+                 (encoded.hasValue() ? encoded->payload.size() : 0);
          }},
     };
 

@@ -20,7 +20,8 @@ libclang dependency, so it runs anywhere Python does):
                    only raw allocations live behind the platform
                    arena)
   trace-span       every .cpp in the hot-path directories (octree/,
-                   morton/, attr/, entropy/, stream/, serve/) opens
+                   morton/, attr/, interframe/, entropy/, stream/,
+                   serve/) opens
                    at least one trace span (ScopedTrace) or
                    work-counter stage (ScopedStage) so profiles
                    stay complete
@@ -68,8 +69,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "edgepcc_lint_baseline.json")
 
-HOT_PATH_DIRS = ("octree", "morton", "attr", "entropy", "stream",
-                 "serve")
+HOT_PATH_DIRS = ("octree", "morton", "attr", "interframe", "entropy",
+                 "stream", "serve")
 
 # Directories whose code is linted at all (repo-relative).
 LINT_ROOTS = ("include", "src", "tools", "tests", "bench", "examples", "fuzz")
