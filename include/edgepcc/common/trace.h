@@ -1,20 +1,24 @@
 /**
  * @file
- * Lightweight scoped-span tracing and cross-frame stage statistics.
+ * Lightweight scoped-span tracing and percentile summaries.
  *
- * Two layers of observability exist in EdgePCC:
- *  - WorkRecorder/StageProfile (work_counters.h) records *what a
- *    stage did* (kernels, ops, bytes) for the edge device model;
- *  - the Tracer here records *when spans ran* on the host, across
- *    threads, for timeline inspection and overhead-free production
- *    builds: with tracing disabled a span costs one relaxed atomic
- *    load.
+ * The Tracer records *when spans ran* on the host, across threads,
+ * for timeline inspection and overhead-free production builds: with
+ * tracing disabled a span costs one relaxed atomic load. Spans come
+ * from two hooks:
+ *  - ScopedStage (work_counters.h) for every codec stage: one scope
+ *    opens the WorkRecorder stage the device model prices and a span
+ *    of the same name, timed once on Tracer::nowSeconds(), so the
+ *    stage's host_seconds equals the span's dur_s;
+ *  - ScopedTrace here for everything that is not a stage: frame,
+ *    container, stream, serve and pipeline spans, and kernel spans
+ *    nested inside a stage.
  *
  * Span streams export to the chrome://tracing "traceEvents" JSON
  * format (load in chrome://tracing or https://ui.perfetto.dev), and
- * StageStatsAggregator folds per-stage samples collected over many
- * frames into p50/p95/max percentiles for BENCH_results.json (see
- * tools/bench_runner and docs/OBSERVABILITY.md for the schemas).
+ * computePercentiles folds samples into the p50/p95/max summaries
+ * of BENCH_results.json (see tools/bench_runner and
+ * docs/OBSERVABILITY.md for the schemas).
  */
 
 #ifndef EDGEPCC_COMMON_TRACE_H
@@ -24,12 +28,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "edgepcc/common/sync.h"
-#include "edgepcc/common/work_counters.h"
 
 namespace edgepcc {
 
@@ -95,7 +98,8 @@ class Tracer
     /** Seconds on the tracer's monotonic clock. */
     static double nowSeconds();
 
-    /** Appends one completed span (callers use ScopedTrace). */
+    /** Appends one completed span (callers use ScopedTrace or
+     *  ScopedStage). */
     void record(const char *name, double start_s, double dur_s);
 
     /** Copies out all recorded events, in recording order. */
@@ -112,6 +116,7 @@ class Tracer
 
   private:
     friend class ScopedTrace;
+    friend class ScopedStage;
 
     Tracer() = default;
 
@@ -125,7 +130,7 @@ class Tracer
 
     mutable Mutex mutex_;
     std::vector<TraceEvent> events_ EDGEPCC_GUARDED_BY(mutex_);
-    /** Open ScopedTrace spans with room reserved in events_. */
+    /** Open spans with room reserved in events_. */
     std::size_t reserved_ EDGEPCC_GUARDED_BY(mutex_) = 0;
     std::atomic<bool> enabled_{false};
     std::atomic<int> verbosity_{0};
@@ -134,14 +139,15 @@ class Tracer
 /**
  * RAII span: records [construction, destruction) into the global
  * tracer when tracing is enabled. `name` must be a string literal
- * (or otherwise outlive the tracer).
+ * (or otherwise outlive the tracer). A codec stage uses ScopedStage
+ * instead, which records its span the same way.
  */
 class ScopedTrace
 {
   public:
     /** `min_verbosity > 0` makes the span conditional on the
      *  tracer's verbosity knob (per-kernel spans pass
-     *  Tracer::kVerbosityKernel); stage spans use the default. */
+     *  Tracer::kVerbosityKernel); other spans use the default. */
     explicit ScopedTrace(const char *name, int min_verbosity = 0)
     {
         if (Tracer::global().enabled() &&
@@ -173,28 +179,13 @@ class ScopedTrace
     double start_s_ = 0.0;
 };
 
-/**
- * Combined hook for the hot paths: one scope both opens a
- * WorkRecorder stage (device model) and a trace span (host
- * timeline). Either side may be absent (null recorder / tracing
- * disabled) at no cost to the other.
- */
-class TracedStage
-{
-  public:
-    TracedStage(WorkRecorder *recorder, const char *name)
-        : stage_(recorder, name), trace_(name)
-    {
-    }
-
-  private:
-    ScopedStage stage_;
-    ScopedTrace trace_;
-};
-
 /** Writes events as a chrome://tracing JSON document. */
 void writeChromeTrace(const std::vector<TraceEvent> &events,
                       std::ostream &out);
+
+/** `text` as a quoted JSON string: quotes, backslashes and control
+ *  characters escaped. */
+std::string jsonString(std::string_view text);
 
 /** Percentile summary of a sample set. */
 struct PercentileStats {
@@ -209,82 +200,6 @@ struct PercentileStats {
 
 /** Summarizes `samples` (order irrelevant; empty -> zeros). */
 PercentileStats computePercentiles(std::vector<double> samples);
-
-/**
- * Folds per-stage metrics across frames into percentile summaries.
- *
- * Feed it one addProfile() (or addStage()) call per encoded/decoded
- * frame; modelled Jetson seconds are supplied by the caller because
- * the device model lives above this module (src/platform).
- *
- * Thread-safe: concurrent sessions may feed one aggregator (the
- * multi-tenant bench does); samples interleave but per-stage
- * accumulation is race-free. First-seen stage order then depends on
- * the interleaving — aggregate from one thread when a stable order
- * matters.
- */
-class StageStatsAggregator
-{
-  public:
-    struct StageSummary {
-        std::string name;
-        std::size_t frames = 0;          ///< samples seen
-        PercentileStats host_s;          ///< measured host seconds
-        PercentileStats model_s;         ///< modelled Jetson seconds
-        std::uint64_t total_ops = 0;
-        std::uint64_t total_bytes = 0;
-    };
-
-    StageStatsAggregator() = default;
-
-    /** Movable so result structs can carry one by value. Locks the
-     *  source; the destination is under construction and private. */
-    StageStatsAggregator(StageStatsAggregator &&other) noexcept
-    {
-        MutexLock lock(other.mutex_);
-        stages_ = std::move(other.stages_);
-        order_ = std::move(other.order_);
-    }
-    StageStatsAggregator &
-    operator=(StageStatsAggregator &&) = delete;
-
-    /** Adds one stage sample. model_s < 0 means "not modelled". */
-    void addStage(const std::string &name, double host_s,
-                  double model_s, std::uint64_t ops,
-                  std::uint64_t bytes);
-
-    /** Adds every stage of one recorded frame profile. */
-    void addProfile(const PipelineProfile &profile);
-
-    /** Summaries in first-seen stage order. */
-    std::vector<StageSummary> summaries() const;
-
-    bool
-    empty() const
-    {
-        MutexLock lock(mutex_);
-        return stages_.empty();
-    }
-
-  private:
-    struct Accum {
-        std::vector<double> host_samples;
-        std::vector<double> model_samples;
-        std::uint64_t ops = 0;
-        std::uint64_t bytes = 0;
-    };
-
-    void addStageLocked(const std::string &name, double host_s,
-                        double model_s, std::uint64_t ops,
-                        std::uint64_t bytes)
-        EDGEPCC_REQUIRES(mutex_);
-
-    mutable Mutex mutex_;
-    std::map<std::string, Accum> stages_
-        EDGEPCC_GUARDED_BY(mutex_);
-    /** First-seen insertion order. */
-    std::vector<std::string> order_ EDGEPCC_GUARDED_BY(mutex_);
-};
 
 }  // namespace edgepcc
 

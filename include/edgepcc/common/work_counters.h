@@ -8,6 +8,10 @@
  * parallel span), and src/platform converts those counts into modelled
  * Jetson latency and energy. Host wall-clock is recorded alongside so
  * native algorithmic speedups stay visible.
+ *
+ * A stage is declared once, with ScopedStage: the same scope feeds
+ * this recorder, the trace span of the same name and, through the
+ * profile, the bench JSON (see docs/OBSERVABILITY.md).
  */
 
 #ifndef EDGEPCC_COMMON_WORK_COUNTERS_H
@@ -16,6 +20,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "edgepcc/common/trace.h"
 
 namespace edgepcc {
 
@@ -64,22 +70,25 @@ struct PipelineProfile {
  * Collects StageProfiles while a codec runs.
  *
  * Codecs accept a `WorkRecorder *` (nullable; null means "don't
- * record"). Stages are opened/closed in LIFO-free, strictly
- * sequential order: beginStage() closes nothing, endStage() finalizes
- * the stage opened last. Recording is not thread-safe; parallel
- * kernels aggregate their counts locally and record once after the
- * parallel region completes.
+ * record") and open their stages with ScopedStage. Stages do not
+ * nest: at most one is open, and beginStage() closes it before
+ * opening the next. A stage closed that way keeps host_seconds 0,
+ * because only its own endStage() carries a measured time.
+ * Recording is not thread-safe; parallel kernels aggregate their
+ * counts locally and record once after the parallel region
+ * completes.
  */
 class WorkRecorder
 {
   public:
-    /** Opens a stage; host timing starts now. Reserves the slot
+    /** Opens a stage, closing the open one first. Reserves the slot
      *  endStage() fills, so only this call may allocate. */
     void beginStage(const std::string &name);
 
-    /** Closes the currently open stage and stores it. Never
-     *  allocates (safe from ~ScopedStage). */
-    void endStage();
+    /** Closes the open stage with its measured host seconds and
+     *  stores it; a no-op when no stage is open. Never allocates
+     *  (safe from ~ScopedStage). */
+    void endStage(double host_seconds = 0.0);
 
     /** Adds a kernel record to the currently open stage.
      *  A standalone kernel outside any stage opens an implicit stage
@@ -95,32 +104,75 @@ class WorkRecorder
     PipelineProfile profile_;
     bool stage_open_ = false;
     StageProfile open_stage_;
-    double open_stage_start_ = 0.0;
-
-    static double nowSeconds();
 };
 
-/** RAII helper: beginStage/endStage around a scope. */
+/**
+ * The one stage hook. The scope opens the WorkRecorder stage the
+ * device model prices (when `recorder` is non-null) and a trace span
+ * of the same name (when tracing is enabled). It reads
+ * Tracer::nowSeconds() once at each end and hands both sinks that
+ * start and duration, so the stage's host_seconds equals the span's
+ * dur_s. `name` must be a string literal (or otherwise outlive the
+ * tracer). Opening may allocate; closing never does. With tracing
+ * off and a null recorder the hook costs one relaxed atomic load.
+ */
 class ScopedStage
 {
   public:
-    ScopedStage(WorkRecorder *recorder, const std::string &name)
-        : recorder_(recorder)
+    ScopedStage(WorkRecorder *recorder, const char *name)
+        : stage_(recorder, name)
     {
-        if (recorder_)
-            recorder_->beginStage(name);
+        // Reserved after the stage opened: if this throws, stage_
+        // closes that stage on the way out.
+        if (Tracer::global().enabled()) {
+            Tracer::global().reserveSpan();
+            span_name_ = name;
+        }
+        if (stage_.recorder != nullptr || span_name_ != nullptr)
+            start_s_ = Tracer::nowSeconds();
     }
     ~ScopedStage()
     {
-        if (recorder_)
-            recorder_->endStage();
+        if (stage_.recorder == nullptr && span_name_ == nullptr)
+            return;
+        const double dur_s = Tracer::nowSeconds() - start_s_;
+        if (span_name_ != nullptr)
+            Tracer::global().recordReserved(span_name_, start_s_,
+                                            dur_s);
+        stage_.close(dur_s);
     }
 
     ScopedStage(const ScopedStage &) = delete;
     ScopedStage &operator=(const ScopedStage &) = delete;
 
   private:
-    WorkRecorder *recorder_;
+    /** The recorder side; a member, so a throw later in the
+     *  constructor still closes the stage it opened. */
+    struct RecorderStage {
+        RecorderStage(WorkRecorder *open_in, const char *name)
+            : recorder(open_in)
+        {
+            if (recorder != nullptr)
+                recorder->beginStage(name);
+        }
+        ~RecorderStage() { close(0.0); }
+        RecorderStage(const RecorderStage &) = delete;
+        RecorderStage &operator=(const RecorderStage &) = delete;
+
+        void
+        close(double host_seconds)
+        {
+            if (recorder != nullptr)
+                recorder->endStage(host_seconds);
+            recorder = nullptr;
+        }
+
+        WorkRecorder *recorder;
+    };
+
+    RecorderStage stage_;
+    const char *span_name_ = nullptr;  ///< null = tracing was off
+    double start_s_ = 0.0;
 };
 
 /** Records a kernel iff the recorder is non-null. */

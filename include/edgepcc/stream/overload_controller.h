@@ -134,23 +134,6 @@ struct LoadSpec {
     bool isIdle() const;
 };
 
-/**
- * Which clock feeds the ladder's per-frame encode latency.
- *
- * kModelled charges the EdgeDeviceModel seconds of the recorded
- * profile (deterministic, wall-clock free — the default, and what
- * every pinned tier-1 trace uses). kWallClock charges the measured
- * host seconds recorded per stage instead, for deployments where
- * the encoder actually runs on the serving hardware; traces then
- * depend on the machine, so tests pin only the extreme deadlines.
- */
-enum class OverloadBudgetSource : std::uint8_t {
-    kModelled = 0,
-    kWallClock = 1,
-};
-
-const char *overloadBudgetSourceName(OverloadBudgetSource source);
-
 /** Overload-subsystem knobs (SessionConfig::overload). */
 struct OverloadConfig {
     bool enabled = false;
@@ -158,9 +141,6 @@ struct OverloadConfig {
     /** Per-frame encode budget. 0 = derive from target_fps. */
     double deadline_s = 0.0;
 
-    /** Latency source the ladder reacts to (modelled by default). */
-    OverloadBudgetSource budget_source =
-        OverloadBudgetSource::kModelled;
     /** Frame cadence; also the admission arrival rate. */
     double target_fps = 30.0;
 
@@ -327,10 +307,10 @@ struct EffectiveLatency {
 
 /**
  * The per-tenant latency hook shared by StreamSession and the serve
- * scheduler: selects the budget source (modelled device seconds or
- * measured host seconds), scales each stage by the injected LoadSpec
- * and the frame's seeded jitter, and reports the worst stage for the
- * soft-timeout watchdog. Deterministic for kModelled.
+ * scheduler: charges each stage's modelled device seconds, scaled by
+ * the injected LoadSpec and the frame's seeded jitter, and reports
+ * the worst stage for the soft-timeout watchdog. Deterministic: it
+ * never reads host time.
  */
 EffectiveLatency effectiveEncodeLatency(const PipelineTiming &timing,
                                         const OverloadConfig &config,

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "edgepcc/common/trace.h"
 #include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/entropy/range_coder.h"
 
@@ -140,7 +139,6 @@ encodePredicting(const VoxelCloud &sorted_cloud,
                  const PredictingConfig &config,
                  WorkRecorder *recorder)
 {
-    ScopedTrace trace("attr.pred.encode");
     const std::size_t n = sorted_cloud.size();
     if (n == 0)
         return invalidArgument("encodePredicting: empty cloud");
@@ -236,7 +234,6 @@ Status
 decodePredictingInto(const std::vector<std::uint8_t> &payload,
                      VoxelCloud &cloud, WorkRecorder *recorder)
 {
-    ScopedTrace trace("attr.pred.decode");
     const std::size_t n = cloud.size();
     if (n == 0)
         return invalidArgument("decodePredictingInto: empty cloud");

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "edgepcc/common/trace.h"
 #include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/entropy/range_coder.h"
 #include "edgepcc/morton/morton.h"
@@ -91,7 +90,6 @@ Expected<std::vector<std::uint8_t>>
 encodeRaht(const VoxelCloud &sorted_cloud, const RahtConfig &config,
            WorkRecorder *recorder)
 {
-    ScopedTrace trace("attr.raht.encode");
     const std::size_t n = sorted_cloud.size();
     if (n == 0)
         return invalidArgument("encodeRaht: empty cloud");
@@ -228,7 +226,6 @@ Status
 decodeRahtInto(const std::vector<std::uint8_t> &payload,
                VoxelCloud &cloud, WorkRecorder *recorder)
 {
-    ScopedTrace trace("attr.raht.decode");
     const std::size_t n = cloud.size();
     if (n == 0)
         return invalidArgument("decodeRahtInto: empty cloud");

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "edgepcc/common/check.h"
-#include "edgepcc/common/trace.h"
 #include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/platform/arena.h"
 
@@ -100,7 +99,7 @@ encodeSegmentAttr(const AttrChannels &channels,
         return invalidArgument(
             "encodeSegmentAttr: quant_step must be >= 1");
 
-    TracedStage stage(recorder, "attr.segment");
+    ScopedStage stage(recorder, "attr.segment");
 
     const SegmentLayout layout = makeSegmentLayout(n, config);
     const auto q = static_cast<std::int64_t>(config.quant_step);
@@ -201,7 +200,7 @@ Expected<AttrChannels>
 decodeSegmentAttr(const std::vector<std::uint8_t> &payload,
                   WorkRecorder *recorder)
 {
-    TracedStage stage(recorder, "attrdec.segment");
+    ScopedStage stage(recorder, "attrdec.segment");
 
     BitReader reader(payload);
     if (reader.readBits(8) != 'S' || reader.readBits(8) != 'A' ||

@@ -19,25 +19,6 @@ traceEpoch()
 
 std::atomic<std::uint32_t> next_thread_id{0};
 
-/** JSON string escape for span names (quotes, backslash, control). */
-void
-writeJsonString(std::ostream &out, const char *text)
-{
-    out << '"';
-    for (const char *p = text; *p != '\0'; ++p) {
-        const char c = *p;
-        if (c == '"' || c == '\\') {
-            out << '\\' << c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-                << "0123456789abcdef"[c & 0xf];
-        } else {
-            out << c;
-        }
-    }
-    out << '"';
-}
-
 }  // namespace
 
 Tracer &
@@ -122,13 +103,32 @@ writeChromeTrace(const std::vector<TraceEvent> &events,
         if (!first)
             out << ',';
         first = false;
-        out << "{\"name\":";
-        writeJsonString(out, event.name);
-        out << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << event.tid
+        out << "{\"name\":" << jsonString(event.name)
+            << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << event.tid
             << ",\"ts\":" << event.start_s * 1e6
             << ",\"dur\":" << event.dur_s * 1e6 << '}';
     }
     out << "],\"displayTimeUnit\":\"ms\"}\n";
+}
+
+std::string
+jsonString(std::string_view text)
+{
+    std::string out = "\"";
+    for (const char c : text) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            out += "\\u00";
+            out += "0123456789abcdef"[(c >> 4) & 0xf];
+            out += "0123456789abcdef"[c & 0xf];
+        } else {
+            out += c;
+        }
+    }
+    out += '"';
+    return out;
 }
 
 PercentileStats
@@ -154,66 +154,6 @@ computePercentiles(std::vector<double> samples)
     stats.p95 = at_quantile(0.95);
     stats.p99 = at_quantile(0.99);
     return stats;
-}
-
-void
-StageStatsAggregator::addStageLocked(const std::string &name,
-                                     double host_s, double model_s,
-                                     std::uint64_t ops,
-                                     std::uint64_t bytes)
-{
-    auto it = stages_.find(name);
-    if (it == stages_.end()) {
-        it = stages_.emplace(name, Accum{}).first;
-        order_.push_back(name);
-    }
-    Accum &accum = it->second;
-    accum.host_samples.push_back(host_s);
-    if (model_s >= 0.0)
-        accum.model_samples.push_back(model_s);
-    accum.ops += ops;
-    accum.bytes += bytes;
-}
-
-void
-StageStatsAggregator::addStage(const std::string &name, double host_s,
-                               double model_s, std::uint64_t ops,
-                               std::uint64_t bytes)
-{
-    MutexLock lock(mutex_);
-    addStageLocked(name, host_s, model_s, ops, bytes);
-}
-
-void
-StageStatsAggregator::addProfile(const PipelineProfile &profile)
-{
-    // One lock for the whole frame so its stages land adjacently
-    // even when several sessions aggregate concurrently.
-    MutexLock lock(mutex_);
-    for (const StageProfile &stage : profile.stages) {
-        addStageLocked(stage.name, stage.host_seconds, -1.0,
-                       stage.totalOps(), stage.totalBytes());
-    }
-}
-
-std::vector<StageStatsAggregator::StageSummary>
-StageStatsAggregator::summaries() const
-{
-    MutexLock lock(mutex_);
-    std::vector<StageSummary> out;
-    out.reserve(order_.size());
-    for (const std::string &name : order_) {
-        const Accum &accum = stages_.at(name);
-        StageSummary summary;
-        summary.name = name;
-        summary.frames = accum.host_samples.size();
-        summary.host_s = computePercentiles(accum.host_samples);
-        summary.model_s = computePercentiles(accum.model_samples);
-        summary.total_ops = accum.ops;
-        summary.total_bytes = accum.bytes;
-        out.push_back(std::move(summary));
-    }
-    return out;
 }
 
 }  // namespace edgepcc

@@ -1,7 +1,6 @@
 #include "edgepcc/common/work_counters.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace edgepcc {
 
@@ -54,15 +53,6 @@ PipelineProfile::hostSecondsWithPrefix(const std::string &prefix) const
     return total;
 }
 
-double
-WorkRecorder::nowSeconds()
-{
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               Clock::now().time_since_epoch())
-        .count();
-}
-
 void
 WorkRecorder::beginStage(const std::string &name)
 {
@@ -75,16 +65,15 @@ WorkRecorder::beginStage(const std::string &name)
         stages.reserve(std::max<std::size_t>(8, 2 * stages.size()));
     open_stage_ = StageProfile{};
     open_stage_.name = name;
-    open_stage_start_ = nowSeconds();
     stage_open_ = true;
 }
 
 void
-WorkRecorder::endStage()
+WorkRecorder::endStage(double host_seconds)
 {
     if (!stage_open_)
         return;
-    open_stage_.host_seconds = nowSeconds() - open_stage_start_;
+    open_stage_.host_seconds = host_seconds;
     profile_.stages.push_back(std::move(open_stage_));
     stage_open_ = false;
 }

@@ -260,10 +260,8 @@ VideoEncoder::encodeImpl(const VoxelCloud &cloud)
              static_cast<std::uint32_t>(config_.gop_size) !=
          0);
 
-    Expected<GeometryEncoded> geometry = [&] {
-        ScopedTrace trace("encode.geometry");
-        return encodeGeometry(cloud, config_.geometry, &recorder);
-    }();
+    Expected<GeometryEncoded> geometry =
+        encodeGeometry(cloud, config_.geometry, &recorder);
     if (!geometry)
         return geometry.status();
 
@@ -271,8 +269,6 @@ VideoEncoder::encodeImpl(const VoxelCloud &cloud)
     AttrKind attr_kind = AttrKind::kSegment;
     const VoxelCloud &sorted = geometry->sorted_cloud;
 
-    ScopedTrace attr_trace(want_p ? "encode.attr.inter"
-                                  : "encode.attr.intra");
     if (want_p) {
         if (config_.inter_mode == InterMode::kBlockMatch) {
             auto inter = encodeInterAttr(
@@ -327,7 +323,6 @@ VideoEncoder::encodeImpl(const VoxelCloud &cloud)
           }
         }
     }
-    attr_trace.stop();
 
     const Frame::Type type = want_p ? Frame::Type::kPredicted
                                     : Frame::Type::kIntra;
@@ -393,15 +388,12 @@ VideoDecoder::decodeImpl(const std::vector<std::uint8_t> &bitstream)
     DecodedFrame out;
     out.type = parsed->type;
 
-    Expected<VoxelCloud> cloud = [&] {
-        ScopedTrace trace("decode.geometry");
-        return decodeGeometry(parsed->geometry, &recorder);
-    }();
+    Expected<VoxelCloud> cloud =
+        decodeGeometry(parsed->geometry, &recorder);
     if (!cloud)
         return cloud.status();
     out.cloud = cloud.takeValue();
 
-    ScopedTrace attr_trace("decode.attr");
     switch (parsed->attr_kind) {
       case AttrKind::kInterBlockMatch: {
           if (!has_reference_)
@@ -434,7 +426,6 @@ VideoDecoder::decodeImpl(const std::vector<std::uint8_t> &bitstream)
           break;
       }
     }
-    attr_trace.stop();
 
     out.profile = recorder.takeProfile();
     return out;
@@ -481,10 +472,8 @@ VideoDecoder::decodePromotedImpl(
     DecodedFrame out;
     out.type = parsed->type;
 
-    Expected<VoxelCloud> cloud = [&] {
-        ScopedTrace trace("decode.geometry");
-        return decodeGeometry(parsed->geometry, &recorder);
-    }();
+    Expected<VoxelCloud> cloud =
+        decodeGeometry(parsed->geometry, &recorder);
     if (!cloud)
         return cloud.status();
     out.cloud = cloud.takeValue();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "edgepcc/common/trace.h"
 #include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/morton/morton.h"
 #include "edgepcc/platform/arena.h"
@@ -241,7 +240,7 @@ encodeInterAttr(const VoxelCloud &p_sorted,
     std::uint64_t reused_points = 0;
 
     {
-        TracedStage stage(recorder, "inter.match");
+        ScopedStage stage(recorder, "inter.match");
         // One Eq.-2 sum per candidate of the current window; no
         // window holds more candidates than there are I-blocks.
         const std::size_t max_window = std::min<std::size_t>(
@@ -336,7 +335,7 @@ encodeInterAttr(const VoxelCloud &p_sorted,
     // Delta extraction for non-reused blocks.
     AttrChannels deltas;
     {
-        TracedStage stage(recorder, "inter.delta");
+        ScopedStage stage(recorder, "inter.delta");
         for (auto &channel : deltas)
             channel.reserve(result.stats.delta_points);
         for (std::size_t pb = 0; pb < p_blocks; ++pb) {
@@ -404,7 +403,7 @@ encodeInterAttr(const VoxelCloud &p_sorted,
     }
 
     // Assemble the stream.
-    TracedStage stage(recorder, "inter.assemble");
+    ScopedStage stage(recorder, "inter.assemble");
     BitWriter writer;
     writer.writeBits(static_cast<std::uint8_t>(kMagic[0]), 8);
     writer.writeBits(static_cast<std::uint8_t>(kMagic[1]), 8);
@@ -492,7 +491,7 @@ decodeInterAttrInto(const std::vector<std::uint8_t> &payload,
         deltas = decoded.takeValue();
     }
 
-    TracedStage stage(recorder, "interdec.reconstruct");
+    ScopedStage stage(recorder, "interdec.reconstruct");
     std::size_t delta_cursor = 0;
     for (std::size_t pb = 0; pb < p_blocks; ++pb) {
         const std::size_t p_begin = pb * k;

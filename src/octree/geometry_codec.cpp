@@ -301,10 +301,11 @@ encodeGeometry(const VoxelCloud &cloud, const GeometryConfig &config,
     std::vector<std::uint8_t> occupancy;
     std::vector<std::uint8_t> contexts;
     {
-        ScopedStage stage(recorder, "geom.build");
-        const PointerOctree tree =
-            buildSequentialOctree(working, recorder);
-        ScopedStage serialize_stage(recorder, "geom.serialize");
+        const PointerOctree tree = [&] {
+            ScopedStage stage(recorder, "geom.build");
+            return buildSequentialOctree(working, recorder);
+        }();
+        ScopedStage stage(recorder, "geom.serialize");
         occupancy = serializeDepthFirst(
             tree, recorder,
             config.contextual_entropy ? &contexts : nullptr);
@@ -578,7 +579,6 @@ Expected<VoxelCloud>
 decodeGeometry(const std::vector<std::uint8_t> &payload,
                WorkRecorder *recorder)
 {
-    ScopedTrace trace("geometry.decode");
     ScopedStage parse_stage(recorder, "geomdec.parse");
     auto header = parsePayload(payload);
     if (!header)

@@ -297,10 +297,8 @@ struct RunState {
         report.fleet.replicas = replicas.size();
         for (std::size_t r = 0; r < replicas.size(); ++r)
             replicas[r].index = static_cast<int>(r);
-        // The shared latency hook reads only the load spec and the
-        // budget source; serve always charges modelled seconds.
+        // The shared latency hook reads only the load spec.
         latency_config.load = config.load;
-        latency_config.budget_source = OverloadBudgetSource::kModelled;
     }
 
     const ServeConfig &config;

@@ -44,18 +44,6 @@ overloadRungName(OverloadRung rung)
 }
 
 const char *
-overloadBudgetSourceName(OverloadBudgetSource source)
-{
-    switch (source) {
-      case OverloadBudgetSource::kModelled:
-        return "modelled";
-      case OverloadBudgetSource::kWallClock:
-        return "wall-clock";
-    }
-    return "unknown";
-}
-
-const char *
 overloadEventName(OverloadEvent event)
 {
     switch (event) {
@@ -344,12 +332,9 @@ effectiveEncodeLatency(const PipelineTiming &timing,
     const double jitter = load.jitterFor(frame_id);
     EffectiveLatency eff;
     for (const StageTiming &stage : timing.stages) {
-        const double base =
-            config.budget_source == OverloadBudgetSource::kWallClock
-                ? stage.host_seconds
-                : stage.model_seconds;
-        const double stage_s =
-            base * load.factorFor(frame_id, stage.name) * jitter;
+        const double stage_s = stage.model_seconds *
+                               load.factorFor(frame_id, stage.name) *
+                               jitter;
         eff.total_s += stage_s;
         if (stage_s > eff.worst_stage_s) {
             eff.worst_stage_s = stage_s;

@@ -666,11 +666,10 @@ planFrame(RunState &st)
 }
 
 /**
- * Books one encode on the ladder: per-stage seconds from the
- * configured budget source (modelled device time by default,
- * measured host time in wall-clock mode), scaled by the injected
- * load. The watchdog checks each stage against its soft-timeout
- * share of the deadline before the frame total is judged.
+ * Books one encode on the ladder: per-stage modelled device
+ * seconds, scaled by the injected load. The watchdog checks each
+ * stage against its soft-timeout share of the deadline before the
+ * frame total is judged.
  */
 void
 bookEncodeLatency(RunState &st, const OverloadFrame &slot,

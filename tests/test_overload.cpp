@@ -519,20 +519,10 @@ TEST(OverloadLadderTest, IdleLoadNeverEngagesAndKeepsWireBytes)
 }
 
 // -----------------------------------------------------------------
-// Wall-clock budget source
+// Effective latency
 // -----------------------------------------------------------------
 
-TEST(OverloadBudgetSourceTest, Names)
-{
-    EXPECT_STREQ(
-        overloadBudgetSourceName(OverloadBudgetSource::kModelled),
-        "modelled");
-    EXPECT_STREQ(
-        overloadBudgetSourceName(OverloadBudgetSource::kWallClock),
-        "wall-clock");
-}
-
-TEST(OverloadBudgetSourceTest, EffectiveLatencySelectsSource)
+TEST(OverloadLatencyTest, EffectiveLatencyChargesModelledSeconds)
 {
     PipelineTiming timing;
     StageTiming geom;
@@ -545,77 +535,20 @@ TEST(OverloadBudgetSourceTest, EffectiveLatencySelectsSource)
     attr.host_seconds = 0.009;
     timing.stages = {geom, attr};
 
-    OverloadConfig config;  // kModelled, idle load
+    // Host seconds never reach the ladder.
+    OverloadConfig config;  // idle load
     const EffectiveLatency modelled =
         effectiveEncodeLatency(timing, config, 0);
     EXPECT_DOUBLE_EQ(modelled.total_s, 0.014);
     EXPECT_DOUBLE_EQ(modelled.worst_stage_s, 0.010);
     EXPECT_EQ(modelled.worst_stage, "geom.build");
 
-    config.budget_source = OverloadBudgetSource::kWallClock;
-    const EffectiveLatency host =
-        effectiveEncodeLatency(timing, config, 0);
-    EXPECT_DOUBLE_EQ(host.total_s, 0.011);
-    EXPECT_DOUBLE_EQ(host.worst_stage_s, 0.009);
-    EXPECT_EQ(host.worst_stage, "attr.segment");
-
-    // Injected load scales whichever source is active.
+    // Injected load scales the modelled seconds.
     config.load.slowdown = 3.0;
     const EffectiveLatency loaded =
         effectiveEncodeLatency(timing, config, 0);
-    EXPECT_DOUBLE_EQ(loaded.total_s, 0.033);
-}
-
-/**
- * Wall-clock mode reacts to measured host seconds, which vary by
- * machine — so the pinned session traces use only the two extreme
- * deadlines where every host agrees: impossibly tight (every encoded
- * frame misses, the ladder runs straight down to skip) and
- * effectively infinite (the ladder never engages).
- */
-TEST(OverloadBudgetSourceTest, WallClockTinyDeadlineBottomsOut)
-{
-    const std::vector<VoxelCloud> frames = testVideo(10);
-    const CodecConfig codec = makeIntraOnlyConfig();
-
-    SessionConfig session =
-        overloadSession(codec, 1e-9, LoadSpec::none());
-    session.overload.budget_source =
-        OverloadBudgetSource::kWallClock;
-    StreamSession stream(codec, session);
-    auto report = stream.run(frames);
-    ASSERT_TRUE(report.hasValue());
-    const OverloadStats &overload = report->overload;
-
-    // Any real host encode overruns a nanosecond: one miss per
-    // encoded frame, one rung down each, clamped at skip. The EWMA
-    // utilization is astronomically high, so the ladder never climbs
-    // back within this stream.
-    ASSERT_EQ(overload.ladder.size(), frames.size());
-    EXPECT_EQ(rungTrace(overload), "0! 1! 2! 3! 4! 5 5 5 5 5");
-    EXPECT_EQ(overload.deadline_misses, 5u);
-    EXPECT_EQ(overload.frames_skipped, 5u);
-}
-
-TEST(OverloadBudgetSourceTest, WallClockHugeDeadlineStaysClean)
-{
-    const std::vector<VoxelCloud> frames = testVideo(8);
-    const CodecConfig codec = makeIntraOnlyConfig();
-
-    SessionConfig session =
-        overloadSession(codec, 1e6, LoadSpec::none());
-    session.overload.budget_source =
-        OverloadBudgetSource::kWallClock;
-    StreamSession stream(codec, session);
-    auto report = stream.run(frames);
-    ASSERT_TRUE(report.hasValue());
-    const OverloadStats &overload = report->overload;
-
-    EXPECT_EQ(overload.deadline_misses, 0u);
-    EXPECT_EQ(overload.rung_occupancy[0], frames.size());
-    ASSERT_EQ(report->frames.size(), frames.size());
-    for (const SessionFrame &frame : report->frames)
-        EXPECT_EQ(frame.outcome, FrameOutcome::kOk);
+    EXPECT_DOUBLE_EQ(loaded.total_s, 0.042);
+    EXPECT_DOUBLE_EQ(loaded.worst_stage_s, 0.030);
 }
 
 }  // namespace

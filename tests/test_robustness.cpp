@@ -661,33 +661,47 @@ TEST_F(RobustnessTest, ClosingAStageNeverAllocates)
 {
     // ~ScopedStage runs while unwinding, so a failure there would
     // terminate the process: only opening the stage or recording a
-    // kernel may throw.
-    for (std::int64_t after = 0;; ++after) {
-        ASSERT_LT(after, 1000) << "the sweep never completed";
-        WorkRecorder recorder;
-        int phase = 0;  // 0 opening, 1 recording, 2 closing
-        bool fired = false;
-        {
-            ScopedAllocFailure arm(after);
-            try {
-                ScopedStage stage(&recorder,
-                                  "robustness.stage_with_a_long_name");
-                phase = 1;
-                recordKernel(&recorder,
-                             {"robustness.kernel_with_a_long_name",
-                              ExecResource::kGpu, 1, 64, 64, 512});
-                phase = 2;
-            } catch (const std::bad_alloc &) {
-                EXPECT_LT(phase, 2) << "after=" << after;
+    // kernel may throw. Swept with the span off and on.
+    Tracer &tracer = Tracer::global();
+    for (const bool tracing : {false, true}) {
+        tracer.setEnabled(tracing);
+        for (std::int64_t after = 0;; ++after) {
+            ASSERT_LT(after, 1000) << "the sweep never completed";
+            tracer.clear();
+            WorkRecorder recorder;
+            int phase = 0;  // 0 opening, 1 recording, 2 closing
+            bool fired = false;
+            {
+                ScopedAllocFailure arm(after);
+                try {
+                    ScopedStage stage(
+                        &recorder, "robustness.stage_with_a_long_name");
+                    phase = 1;
+                    recordKernel(&recorder,
+                                 {"robustness.kernel_with_a_long_name",
+                                  ExecResource::kGpu, 1, 64, 64, 512});
+                    phase = 2;
+                } catch (const std::bad_alloc &) {
+                    EXPECT_LT(phase, 2)
+                        << "after=" << after << " tracing=" << tracing;
+                }
+                fired = arm.fired();
             }
-            fired = arm.fired();
-        }
-        if (!fired) {
-            ASSERT_EQ(recorder.profile().stages.size(), 1u);
-            EXPECT_EQ(recorder.profile().stages[0].kernels.size(), 1u);
-            break;
+            if (!fired) {
+                const auto &stages = recorder.profile().stages;
+                ASSERT_EQ(stages.size(), 1u);
+                EXPECT_EQ(stages[0].kernels.size(), 1u);
+                const auto events = tracer.events();
+                ASSERT_EQ(events.size(), tracing ? 1u : 0u);
+                if (tracing) {
+                    EXPECT_EQ(events[0].dur_s, stages[0].host_seconds);
+                }
+                break;
+            }
         }
     }
+    tracer.setEnabled(false);
+    tracer.clear();
 }
 
 TEST_F(RobustnessTest, ClosingATraceSpanNeverAllocates)

@@ -7,7 +7,7 @@
  * tests/compile_fail/; this suite pins down the runtime behaviour
  * the annotations wrap: mutual exclusion, tryLock, condition-variable
  * wakeups, and that the annotated types compose with the components
- * migrated onto them (Tracer, StageStatsAggregator, ThreadPool).
+ * migrated onto them (Tracer, ThreadPool).
  */
 
 #include <gtest/gtest.h>
@@ -170,41 +170,6 @@ TEST(Sync, TracerConcurrentRecording)
     EXPECT_EQ(tracer.eventCount(),
               static_cast<std::size_t>(kThreads) * kSpans);
     tracer.clear();
-}
-
-TEST(Sync, StageStatsAggregatorConcurrentFeeding)
-{
-    StageStatsAggregator agg;
-    constexpr int kThreads = 4;
-    constexpr int kSamples = 250;
-
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            for (int i = 0; i < kSamples; ++i)
-                agg.addStage("stage", 0.001, -1.0, 1, 1);
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-
-    const auto summaries = agg.summaries();
-    ASSERT_EQ(summaries.size(), 1u);
-    EXPECT_EQ(summaries[0].frames,
-              static_cast<std::size_t>(kThreads) * kSamples);
-}
-
-TEST(Sync, StageStatsAggregatorMovePreservesState)
-{
-    StageStatsAggregator agg;
-    agg.addStage("stage", 0.002, -1.0, 3, 7);
-    StageStatsAggregator moved(std::move(agg));
-    const auto summaries = moved.summaries();
-    ASSERT_EQ(summaries.size(), 1u);
-    EXPECT_EQ(summaries[0].frames, 1u);
-    EXPECT_EQ(summaries[0].total_ops, 3u);
-    EXPECT_EQ(summaries[0].total_bytes, 7u);
 }
 
 TEST(Sync, ThreadPoolDrainsUnderAnnotatedLocking)

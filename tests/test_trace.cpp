@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <thread>
+
+#include "edgepcc/common/work_counters.h"
+#include "edgepcc/core/codec_config.h"
+#include "edgepcc/core/video_codec.h"
+#include "edgepcc/dataset/synthetic_human.h"
 
 namespace edgepcc {
 namespace {
@@ -97,24 +103,70 @@ TEST_F(TraceTest, SpansTakeEffectMidstream)
     EXPECT_EQ(Tracer::global().eventCount(), 1u);
 }
 
-TEST_F(TraceTest, TracedStageFeedsBothSinks)
+TEST_F(TraceTest, ScopedStageFeedsBothSinks)
 {
     Tracer::global().setEnabled(true);
     WorkRecorder recorder;
     {
-        TracedStage stage(&recorder, "test.stage");
+        ScopedStage stage(&recorder, "test.stage");
         recordKernel(&recorder, KernelWork{.name = "test.kernel",
                                            .items = 10,
                                            .ops = 20,
                                            .bytes = 30});
+    }
+    // A null recorder still gets its span.
+    {
+        ScopedStage unrecorded(nullptr, "test.unrecorded");
     }
     const auto &profile = recorder.profile();
     ASSERT_EQ(profile.stages.size(), 1u);
     EXPECT_EQ(profile.stages[0].name, "test.stage");
     EXPECT_EQ(profile.stages[0].totalOps(), 20u);
     const auto events = Tracer::global().events();
-    ASSERT_EQ(events.size(), 1u);
+    ASSERT_EQ(events.size(), 2u);
     EXPECT_STREQ(events[0].name, "test.stage");
+    EXPECT_EQ(events[0].dur_s, profile.stages[0].host_seconds);
+    EXPECT_STREQ(events[1].name, "test.unrecorded");
+}
+
+TEST_F(TraceTest, EveryPaperStageIsASpanOfTheSameDuration)
+{
+    VideoSpec spec;
+    spec.name = "trace-test";
+    spec.target_points = 3000;
+    const SyntheticHumanVideo video(spec);
+    for (const CodecConfig &config : allPaperConfigs()) {
+        SCOPED_TRACE(config.name);
+        Tracer::global().clear();
+        Tracer::global().setEnabled(true);
+        VideoEncoder encoder(config);
+        VideoDecoder decoder;
+        std::vector<PipelineProfile> profiles;
+        for (int f = 0; f < 2; ++f) {  // I, then P where inter-coded
+            auto encoded = encoder.encode(video.frame(f));
+            ASSERT_TRUE(encoded.hasValue());
+            auto decoded = decoder.decode(encoded->bitstream);
+            ASSERT_TRUE(decoded.hasValue());
+            profiles.push_back(encoded->profile);
+            profiles.push_back(decoded->profile);
+        }
+        Tracer::global().setEnabled(false);
+        const auto events = Tracer::global().events();
+        std::size_t stages = 0;
+        for (const PipelineProfile &profile : profiles) {
+            for (const StageProfile &stage : profile.stages) {
+                ++stages;
+                const bool has_span = std::any_of(
+                    events.begin(), events.end(),
+                    [&](const TraceEvent &event) {
+                        return stage.name == event.name &&
+                               event.dur_s == stage.host_seconds;
+                    });
+                EXPECT_TRUE(has_span) << stage.name;
+            }
+        }
+        EXPECT_GE(stages, 4u);
+    }
 }
 
 TEST_F(TraceTest, ThreadsGetDistinctIds)
@@ -184,51 +236,6 @@ TEST(Percentiles, NearestRankOnHundredSamples)
     EXPECT_DOUBLE_EQ(stats.max, 100.0);
     EXPECT_DOUBLE_EQ(stats.mean, 50.5);
     EXPECT_DOUBLE_EQ(stats.total, 5050.0);
-}
-
-TEST(StageStats, AggregatesAcrossFramesInFirstSeenOrder)
-{
-    StageStatsAggregator aggregator;
-    aggregator.addStage("encode", 0.010, 0.020, 100, 1000);
-    aggregator.addStage("decode", 0.005, 0.008, 50, 500);
-    aggregator.addStage("encode", 0.030, 0.040, 100, 1000);
-
-    const auto summaries = aggregator.summaries();
-    ASSERT_EQ(summaries.size(), 2u);
-    EXPECT_EQ(summaries[0].name, "encode");
-    EXPECT_EQ(summaries[0].frames, 2u);
-    EXPECT_DOUBLE_EQ(summaries[0].host_s.max, 0.030);
-    EXPECT_DOUBLE_EQ(summaries[0].model_s.max, 0.040);
-    EXPECT_EQ(summaries[0].total_ops, 200u);
-    EXPECT_EQ(summaries[0].total_bytes, 2000u);
-    EXPECT_EQ(summaries[1].name, "decode");
-    EXPECT_EQ(summaries[1].frames, 1u);
-}
-
-TEST(StageStats, NegativeModelMeansUnmodelled)
-{
-    StageStatsAggregator aggregator;
-    aggregator.addStage("stage", 0.010, -1.0, 0, 0);
-    const auto summaries = aggregator.summaries();
-    ASSERT_EQ(summaries.size(), 1u);
-    EXPECT_EQ(summaries[0].model_s.count, 0u);
-    EXPECT_EQ(summaries[0].host_s.count, 1u);
-}
-
-TEST(StageStats, AddProfileTakesRecorderOutput)
-{
-    WorkRecorder recorder;
-    recorder.beginStage("stage.a");
-    recordKernel(&recorder,
-                 KernelWork{.name = "k", .ops = 7, .bytes = 9});
-    recorder.endStage();
-    StageStatsAggregator aggregator;
-    aggregator.addProfile(recorder.profile());
-    const auto summaries = aggregator.summaries();
-    ASSERT_EQ(summaries.size(), 1u);
-    EXPECT_EQ(summaries[0].name, "stage.a");
-    EXPECT_EQ(summaries[0].total_ops, 7u);
-    EXPECT_EQ(summaries[0].total_bytes, 9u);
 }
 
 }  // namespace

@@ -58,6 +58,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -67,6 +68,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "edgepcc/attr/segment_codec.h"
@@ -95,9 +97,18 @@ namespace {
 
 using namespace edgepcc;
 
+/** One stage's samples over the measured frames. */
+struct StageSamples {
+    std::string name;
+    std::vector<double> host_s;
+    std::vector<double> model_s;
+    std::uint64_t ops = 0;
+    std::uint64_t bytes = 0;
+};
+
 /** One encode+decode pass over the workload. */
 struct RunMetrics {
-    StageStatsAggregator stages;
+    std::vector<StageSamples> stages;  ///< first-seen order
     std::vector<double> enc_host_s;
     std::vector<double> dec_host_s;
     std::vector<double> enc_model_s;
@@ -126,6 +137,29 @@ struct RunMetrics {
         for (const double s : enc_host_s)
             sum += s;
         return sum;
+    }
+
+    /** Folds one frame's stages, priced by `timing`, into `stages`. */
+    void
+    addStages(const PipelineProfile &profile,
+              const PipelineTiming &timing)
+    {
+        for (std::size_t i = 0; i < profile.stages.size(); ++i) {
+            const StageProfile &stage = profile.stages[i];
+            auto it = std::find_if(
+                stages.begin(), stages.end(),
+                [&](const StageSamples &s) {
+                    return s.name == stage.name;
+                });
+            if (it == stages.end()) {
+                stages.emplace_back().name = stage.name;
+                it = stages.end() - 1;
+            }
+            it->host_s.push_back(stage.host_seconds);
+            it->model_s.push_back(timing.stages[i].model_seconds);
+            it->ops += stage.totalOps();
+            it->bytes += stage.totalBytes();
+        }
     }
 };
 
@@ -442,24 +476,8 @@ runWorkload(const std::vector<VoxelCloud> &frames,
         metrics.points += frame.size();
 
         if (collect_stages) {
-            for (std::size_t i = 0;
-                 i < encoded->profile.stages.size(); ++i) {
-                const StageProfile &stage =
-                    encoded->profile.stages[i];
-                metrics.stages.addStage(
-                    stage.name, stage.host_seconds,
-                    enc_timing.stages[i].model_seconds,
-                    stage.totalOps(), stage.totalBytes());
-            }
-            for (std::size_t i = 0;
-                 i < decoded->profile.stages.size(); ++i) {
-                const StageProfile &stage =
-                    decoded->profile.stages[i];
-                metrics.stages.addStage(
-                    stage.name, stage.host_seconds,
-                    dec_timing.stages[i].model_seconds,
-                    stage.totalOps(), stage.totalBytes());
-            }
+            metrics.addStages(encoded->profile, enc_timing);
+            metrics.addStages(decoded->profile, dec_timing);
             metrics.attr_psnr_db +=
                 attributePsnr(frame, decoded->cloud).psnr;
             metrics.geom_psnr_db +=
@@ -758,8 +776,8 @@ writeResults(const std::string &path, const CodecConfig &config,
     (void)std::fprintf(out, "{\n");
     (void)std::fprintf(out, "  \"schema\": \"edgepcc-bench-v1\",\n");
     (void)std::fprintf(out, "  \"workload\": {\n");
-    (void)std::fprintf(out, "    \"config\": \"%s\",\n",
-                 config.name.c_str());
+    (void)std::fprintf(out, "    \"config\": %s,\n",
+                 jsonString(config.name).c_str());
     (void)std::fprintf(out, "    \"frames\": %d,\n", frames);
     (void)std::fprintf(out, "    \"target_points\": %zu,\n",
                  spec.target_points);
@@ -801,32 +819,33 @@ writeResults(const std::string &path, const CodecConfig &config,
     (void)std::fprintf(out, "  },\n");
 
     (void)std::fprintf(out, "  \"stages\": [\n");
-    const auto summaries = metrics.stages.summaries();
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-        const auto &stage = summaries[i];
-        (void)std::fprintf(out, "    {\"name\": \"%s\", \"frames\": %zu,",
-                     stage.name.c_str(), stage.frames);
+    for (std::size_t i = 0; i < metrics.stages.size(); ++i) {
+        const StageSamples &stage = metrics.stages[i];
+        const PercentileStats host = computePercentiles(stage.host_s);
+        const PercentileStats model =
+            computePercentiles(stage.model_s);
+        (void)std::fprintf(out, "    {\"name\": %s, \"frames\": %zu,",
+                     jsonString(stage.name).c_str(),
+                     stage.host_s.size());
         (void)std::fprintf(out,
                      " \"host_s\": {\"mean\": %.9g, \"p50\": %.9g,"
                      " \"p95\": %.9g, \"max\": %.9g},",
-                     stage.host_s.mean, stage.host_s.p50,
-                     stage.host_s.p95, stage.host_s.max);
+                     host.mean, host.p50, host.p95, host.max);
         (void)std::fprintf(out,
                      " \"model_s\": {\"mean\": %.9g, \"p50\": %.9g,"
                      " \"p95\": %.9g, \"max\": %.9g},",
-                     stage.model_s.mean, stage.model_s.p50,
-                     stage.model_s.p95, stage.model_s.max);
+                     model.mean, model.p50, model.p95, model.max);
         (void)std::fprintf(out,
                      " \"ops\": %" PRIu64 ", \"bytes\": %" PRIu64
                      "}%s\n",
-                     stage.total_ops, stage.total_bytes,
-                     i + 1 < summaries.size() ? "," : "");
+                     stage.ops, stage.bytes,
+                     i + 1 < metrics.stages.size() ? "," : "");
     }
     (void)std::fprintf(out, "  ],\n");
 
     (void)std::fprintf(out, "  \"kernels\": {\n");
-    (void)std::fprintf(out, "    \"simd_level\": \"%s\",\n",
-                 kernel_bench.simd_level.c_str());
+    (void)std::fprintf(out, "    \"simd_level\": %s,\n",
+                 jsonString(kernel_bench.simd_level).c_str());
     (void)std::fprintf(out,
                  "    \"aggregate_speedup_vs_scalar\": %.9g,\n",
                  kernel_bench.aggregateSpeedup());
@@ -835,12 +854,12 @@ writeResults(const std::string &path, const CodecConfig &config,
         const KernelBenchResult &k = kernel_bench.kernels[i];
         (void)std::fprintf(
             out,
-            "      {\"name\": \"%s\", \"points\": %zu, "
+            "      {\"name\": %s, \"points\": %zu, "
             "\"p50_ns_per_point\": %.9g, "
             "\"p95_ns_per_point\": %.9g, "
             "\"scalar_p50_ns_per_point\": %.9g, "
             "\"speedup_vs_scalar\": %.9g}%s\n",
-            k.name.c_str(), k.points, k.p50_ns_per_point,
+            jsonString(k.name).c_str(), k.points, k.p50_ns_per_point,
             k.p95_ns_per_point, k.scalar_p50_ns_per_point,
             k.speedupVsScalar(),
             i + 1 < kernel_bench.kernels.size() ? "," : "");
@@ -879,8 +898,8 @@ writeResults(const std::string &path, const CodecConfig &config,
                      resilience.wire.chunks_truncated);
         (void)std::fprintf(out, "    \"wire_bytes_skipped\": %zu,\n",
                      resilience.wire.bytes_skipped);
-        (void)std::fprintf(out, "    \"network\": \"%s\",\n",
-                     resilience.network_name.c_str());
+        (void)std::fprintf(out, "    \"network\": %s,\n",
+                     jsonString(resilience.network_name).c_str());
         (void)std::fprintf(out, "    \"mtu_payload\": %zu,\n",
                      resilience.mtu_payload);
         (void)std::fprintf(out, "    \"fec_group_size\": %d,\n",
@@ -956,8 +975,8 @@ writeResults(const std::string &path, const CodecConfig &config,
         (void)std::fprintf(out, "  \"overload\": {\n");
         (void)std::fprintf(out, "    \"deadline_ms\": %.9g,\n",
                      overload.deadline_ms);
-        (void)std::fprintf(out, "    \"load_spec\": \"%s\",\n",
-                     overload.load_spec.c_str());
+        (void)std::fprintf(out, "    \"load_spec\": %s,\n",
+                     jsonString(overload.load_spec).c_str());
         (void)std::fprintf(out, "    \"frames\": %zu,\n", s.frames);
         (void)std::fprintf(out, "    \"deadline_misses\": %zu,\n",
                      s.deadline_misses);
@@ -1025,8 +1044,8 @@ writeResults(const std::string &path, const CodecConfig &config,
         (void)std::fprintf(out, "    \"recovery\": {\n");
         (void)std::fprintf(out, "      \"replicas\": %zu,\n",
                      fleet.fleet.replicas);
-        (void)std::fprintf(out, "      \"faults\": \"%s\",\n",
-                     serve_bench.faults.c_str());
+        (void)std::fprintf(out, "      \"faults\": %s,\n",
+                     jsonString(serve_bench.faults).c_str());
         (void)std::fprintf(out, "      \"crashes\": %zu,\n",
                      rec.crashes);
         (void)std::fprintf(out, "      \"failovers\": %zu,\n",
@@ -1054,7 +1073,7 @@ writeResults(const std::string &path, const CodecConfig &config,
                 serve_bench.tenant_latency[t];
             (void)std::fprintf(
                 out,
-                "      \"%s\": {\"class\": \"%s\", "
+                "      %s: {\"class\": %s, "
                 "\"replica\": %d, "
                 "\"served\": %zu, \"dropped\": %zu, "
                 "\"faulted\": %zu, \"quarantined\": %zu, "
@@ -1062,8 +1081,10 @@ writeResults(const std::string &path, const CodecConfig &config,
                 "\"cache_hits\": %zu, \"deadline_misses\": %zu, "
                 "\"latency_s\": {\"mean\": %.9g, \"p50\": %.9g, "
                 "\"p95\": %.9g, \"p99\": %.9g, \"max\": %.9g}}%s\n",
-                tenant.name.c_str(),
-                serve::deadlineClassName(tenant.deadline_class),
+                jsonString(tenant.name).c_str(),
+                jsonString(serve::deadlineClassName(
+                               tenant.deadline_class))
+                    .c_str(),
                 tenant.replica,
                 tenant.stats.served, tenant.stats.dropped,
                 tenant.stats.faulted, tenant.stats.quarantined,
@@ -1193,6 +1214,37 @@ usage()
     return 2;
 }
 
+/**
+ * Parses the value of numeric flag `flag` into `*out`. The whole
+ * token must parse, land in [lo, hi], and carry no sign when T is
+ * unsigned; otherwise prints a one-line reason and returns false.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &flag, const char *text, T *out,
+            std::type_identity_t<T> lo,
+            std::type_identity_t<T> hi =
+                std::numeric_limits<T>::max())
+{
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec == std::errc() && ptr == end && value >= lo &&
+        value <= hi) {
+        *out = value;
+        return true;
+    }
+    char lo_text[32] = {};
+    char hi_text[32] = {};
+    (void)std::to_chars(lo_text, lo_text + sizeof(lo_text) - 1, lo);
+    (void)std::to_chars(hi_text, hi_text + sizeof(hi_text) - 1, hi);
+    (void)std::fprintf(stderr,
+                       "bench_runner: %s must be a number in "
+                       "[%s, %s], got '%s'\n",
+                       flag.c_str(), lo_text, hi_text, text);
+    return false;
+}
+
 }  // namespace
 
 int
@@ -1224,136 +1276,62 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--config") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            config_name = v;
-        } else if (arg == "--frames") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            frames = std::atoi(v);
-        } else if (arg == "--points") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            points = static_cast<std::size_t>(std::atoll(v));
-        } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            seed = static_cast<std::uint64_t>(std::atoll(v));
-        } else if (arg == "--threads") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            threads = std::atol(v);
-        } else if (arg == "--out") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            out_path = v;
-        } else if (arg == "--trace") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            trace_path = v;
-        } else if (arg == "--trace-verbosity") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            trace_verbosity = std::atoi(v);
-        } else if (arg == "--measure-overhead") {
+        if (arg == "--measure-overhead") {
             measure_overhead = true;
-        } else if (arg == "--loss") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            loss_rate = std::atof(v);
-            if (!(loss_rate >= 0.0 && loss_rate <= 1.0)) {
-                (void)std::fprintf(stderr,
-                             "bench_runner: --loss must be in "
-                             "[0, 1]\n");
-                return 2;
-            }
-        } else if (arg == "--channel-seed") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            channel_seed =
-                static_cast<std::uint64_t>(std::atoll(v));
-        } else if (arg == "--network") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            network_name = v;
-        } else if (arg == "--mtu") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            mtu_payload = static_cast<std::size_t>(std::atoll(v));
-        } else if (arg == "--fec-group") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            fec_group = std::atoi(v);
-        } else if (arg == "--fec-scheme") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            fec_scheme_name = v;
-        } else if (arg == "--fec-parity") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            fec_parity = std::atoi(v);
-        } else if (arg == "--burst-rate") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            burst_rate = std::atof(v);
-        } else if (arg == "--burst-length") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            burst_length = std::atoi(v);
-        } else if (arg == "--deadline-ms") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            deadline_ms = std::atof(v);
-        } else if (arg == "--load-spec") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            load_spec = v;
-        } else if (arg == "--sessions") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            sessions = std::atoi(v);
-        } else if (arg == "--replicas") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            replicas = std::atoi(v);
-        } else if (arg == "--faults") {
-            const char *v = next();
-            if (!v)
-                return usage();
-            faults_spec = v;
-        } else {
-            return usage();
+            continue;
         }
-    }
-    if (fec_group < 2) {
-        (void)std::fprintf(stderr,
-                     "bench_runner: --fec-group must be >= 2\n");
-        return 2;
+        if (i + 1 >= argc)
+            return usage();
+        const char *value = argv[++i];
+        bool ok = true;
+        if (arg == "--config")
+            config_name = value;
+        else if (arg == "--out")
+            out_path = value;
+        else if (arg == "--trace")
+            trace_path = value;
+        else if (arg == "--network")
+            network_name = value;
+        else if (arg == "--fec-scheme")
+            fec_scheme_name = value;
+        else if (arg == "--load-spec")
+            load_spec = value;
+        else if (arg == "--faults")
+            faults_spec = value;
+        else if (arg == "--frames")
+            ok = parseNumber(arg, value, &frames, 1);
+        else if (arg == "--points")
+            ok = parseNumber(arg, value, &points, 1);
+        else if (arg == "--seed")
+            ok = parseNumber(arg, value, &seed, 0);
+        else if (arg == "--threads")
+            ok = parseNumber(arg, value, &threads, -1, 1024);
+        else if (arg == "--trace-verbosity")
+            ok = parseNumber(arg, value, &trace_verbosity, 0);
+        else if (arg == "--loss")
+            ok = parseNumber(arg, value, &loss_rate, 0.0, 1.0);
+        else if (arg == "--channel-seed")
+            ok = parseNumber(arg, value, &channel_seed, 0);
+        else if (arg == "--mtu")
+            ok = parseNumber(arg, value, &mtu_payload, 0);
+        else if (arg == "--fec-group")
+            ok = parseNumber(arg, value, &fec_group, 2);
+        else if (arg == "--fec-parity")
+            ok = parseNumber(arg, value, &fec_parity, 1);
+        else if (arg == "--burst-rate")
+            ok = parseNumber(arg, value, &burst_rate, 0.0, 1.0);
+        else if (arg == "--burst-length")
+            ok = parseNumber(arg, value, &burst_length, 1);
+        else if (arg == "--deadline-ms")
+            ok = parseNumber(arg, value, &deadline_ms, 0.0);
+        else if (arg == "--sessions")
+            ok = parseNumber(arg, value, &sessions, 0);
+        else if (arg == "--replicas")
+            ok = parseNumber(arg, value, &replicas, 1);
+        else
+            return usage();
+        if (!ok)
+            return 2;
     }
     if (fec_scheme_name != "xor" && fec_scheme_name != "rs") {
         (void)std::fprintf(stderr,
@@ -1361,27 +1339,10 @@ main(int argc, char **argv)
                      "rs\n");
         return 2;
     }
-    if (fec_scheme_name == "rs" &&
-        (fec_parity < 1 || fec_parity >= fec_group)) {
+    if (fec_scheme_name == "rs" && fec_parity >= fec_group) {
         (void)std::fprintf(stderr,
                      "bench_runner: --fec-parity must be in "
                      "[1, --fec-group)\n");
-        return 2;
-    }
-    if (burst_rate < 0.0 || burst_rate > 1.0 || burst_length < 1) {
-        (void)std::fprintf(stderr,
-                     "bench_runner: --burst-rate in [0, 1], "
-                     "--burst-length >= 1\n");
-        return 2;
-    }
-    if (sessions < 0) {
-        (void)std::fprintf(stderr,
-                     "bench_runner: --sessions must be >= 0\n");
-        return 2;
-    }
-    if (replicas < 1) {
-        (void)std::fprintf(stderr,
-                     "bench_runner: --replicas must be >= 1\n");
         return 2;
     }
     if ((replicas > 1 || faults_spec != "none") && sessions < 1) {
@@ -1396,7 +1357,7 @@ main(int argc, char **argv)
                      parsed_faults.status().message().c_str());
         return 2;
     }
-    if (deadline_ms != -1.0 && deadline_ms <= 0.0) {
+    if (deadline_ms == 0.0) {
         (void)std::fprintf(stderr,
                      "bench_runner: --deadline-ms must be > 0\n");
         return 2;
@@ -1423,12 +1384,6 @@ main(int argc, char **argv)
                      "bench_runner: unknown network '%s'\n",
                      network_name.c_str());
         return usage();
-    }
-    if (frames < 1 || points < 1) {
-        (void)std::fprintf(stderr,
-                     "bench_runner: --frames and --points must be "
-                     "positive\n");
-        return 2;
     }
 
     bool config_ok = false;

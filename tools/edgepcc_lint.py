@@ -22,9 +22,9 @@ libclang dependency, so it runs anywhere Python does):
   trace-span       every .cpp in the hot-path directories (octree/,
                    morton/, attr/, interframe/, entropy/, stream/,
                    serve/) opens
-                   at least one trace span (ScopedTrace) or
-                   work-counter stage (ScopedStage) so profiles
-                   stay complete
+                   at least one codec stage (ScopedStage, which
+                   also records its trace span) or trace span
+                   (ScopedTrace) so profiles stay complete
   hot-memcpy       no naked `memcpy` in hot-path .cpp files: bulk
                    byte movement there goes through the span-based
                    framing APIs or the SIMD-dispatched kernels
@@ -373,13 +373,12 @@ def rule_trace_span(path, raw, clean, raw_lines):
     m = re.match(r"src/([a-z_]+)/[^/]+\.cpp$", path)
     if not m or m.group(1) not in HOT_PATH_DIRS:
         return []
-    if re.search(r"\bScopedTrace\b|\bScopedStage\b|\bTracedStage\b",
-                 clean):
+    if re.search(r"\bScopedTrace\b|\bScopedStage\b", clean):
         return []
     return [Finding(
         "trace-span", path, 0,
-        "hot-path translation unit opens no trace span "
-        "(ScopedTrace/TracedStage) or work stage (ScopedStage); "
+        "hot-path translation unit opens no stage (ScopedStage) "
+        "or trace span (ScopedTrace); "
         "profiles of this stage will be blind",
         f"{path}:trace-span")]
 
