@@ -8,7 +8,7 @@
  * The session keeps the paper's IPP pattern (max_gop_size =
  * codec.gop_size) on a clean channel with 1200-byte slices. After
  * every P frame the controller scales the threshold by
- * (payload / budget) ^ rate_gain, where the payload budget is the
+ * (payload / budget) ^ kRateGain, where the payload budget is the
  * wire budget times the data share k / (k + m) of its RS groups.
  *
  * Usage: rate_controlled_stream [target_kbit_per_frame] [frames]

@@ -38,6 +38,24 @@ class SplitMix64
 };
 
 /**
+ * Multiplicative jitter factor, uniform in [1 - jitter, 1 + jitter):
+ * one SplitMix64 draw keyed by seed ^ (salt + index), so the factor
+ * for an index does not depend on evaluation order. Callers pass
+ * their own salt to keep their streams apart. jitter <= 0 gives 1.
+ */
+inline double
+jitterFactor(double jitter, std::uint64_t seed, std::uint64_t salt,
+             std::uint64_t index)
+{
+    if (jitter <= 0.0)
+        return 1.0;
+    const std::uint64_t draw = SplitMix64(seed ^ (salt + index)).next();
+    // Map the top 53 bits onto [0, 1).
+    const double unit = static_cast<double>(draw >> 11) * 0x1.0p-53;
+    return 1.0 - jitter + 2.0 * jitter * unit;
+}
+
+/**
  * Xoshiro256** generator: the workhorse RNG for workload synthesis.
  *
  * Satisfies UniformRandomBitGenerator so it can be used with

@@ -72,29 +72,6 @@ class Tracer
         return enabled_.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Span verbosity. Level 0 (default) records only stage-grained
-     * spans; level >= kVerbosityKernel additionally records
-     * per-kernel spans (Morton batches, radix passes, GF(256)
-     * parity rows, ...), which are far more numerous — keep them
-     * off unless inspecting a kernel timeline. Spans opt in by
-     * passing their level to ScopedTrace; the check costs one extra
-     * relaxed load only while tracing is enabled.
-     */
-    void
-    setVerbosity(int level)
-    {
-        verbosity_.store(level, std::memory_order_relaxed);
-    }
-    int
-    verbosity() const
-    {
-        return verbosity_.load(std::memory_order_relaxed);
-    }
-
-    /** Verbosity level at which per-kernel spans record. */
-    static constexpr int kVerbosityKernel = 1;
-
     /** Seconds on the tracer's monotonic clock. */
     static double nowSeconds();
 
@@ -133,7 +110,6 @@ class Tracer
     /** Open spans with room reserved in events_. */
     std::size_t reserved_ EDGEPCC_GUARDED_BY(mutex_) = 0;
     std::atomic<bool> enabled_{false};
-    std::atomic<int> verbosity_{0};
 };
 
 /**
@@ -145,13 +121,9 @@ class Tracer
 class ScopedTrace
 {
   public:
-    /** `min_verbosity > 0` makes the span conditional on the
-     *  tracer's verbosity knob (per-kernel spans pass
-     *  Tracer::kVerbosityKernel); other spans use the default. */
-    explicit ScopedTrace(const char *name, int min_verbosity = 0)
+    explicit ScopedTrace(const char *name)
     {
-        if (Tracer::global().enabled() &&
-            Tracer::global().verbosity() >= min_verbosity) {
+        if (Tracer::global().enabled()) {
             Tracer::global().reserveSpan();
             name_ = name;
             start_s_ = Tracer::nowSeconds();

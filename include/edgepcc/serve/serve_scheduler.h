@@ -133,11 +133,19 @@ struct TenantSpec {
     std::vector<std::uint32_t> fault_frames;
 };
 
-/** Fleet-level scheduler knobs. */
-struct ServeConfig {
-    /** Device whose modelled timings everything is charged to. */
-    DeviceSpec device = DeviceSpec::jetsonXavier15W();
+/** Device seconds of dispatch overhead charged once per encode
+ *  batch. */
+inline constexpr double kBatchOverheadS = 0.0002;
+/** Device seconds charged for serving a frame from the reference
+ *  cache. */
+inline constexpr double kCacheHitCostS = 0.0001;
 
+/**
+ * Fleet-level scheduler knobs. Every replica is modelled as
+ * DeviceSpec::jetsonXavier15W(), which all device seconds are
+ * charged against.
+ */
+struct ServeConfig {
     /** Identical device replicas sharing the tenant load. Each has
      *  its own virtual clock, DRR state and encoder placements. */
     int replicas = 1;
@@ -151,9 +159,6 @@ struct ServeConfig {
      *  resumes where it stopped). */
     int batch_max = 4;
 
-    /** Dispatch overhead charged once per encode batch. */
-    double batch_overhead_s = 0.0002;
-
     /** Admission stops when the summed estimated utilization of the
      *  tenants placed on a replica would exceed this (per replica). */
     double admission_utilization_cap = 1.0;
@@ -161,8 +166,6 @@ struct ServeConfig {
     /** Reference-cache entries (LRU, reference_cache.h); 0 turns
      *  the cache off. */
     std::size_t cache_capacity = 64;
-    /** Device seconds charged for serving a frame from the cache. */
-    double cache_hit_cost_s = 0.0001;
 
     /** Optional injected compute load (LoadSpec semantics from the
      *  overload subsystem, keyed by per-tenant frame index). */
@@ -359,8 +362,9 @@ struct ServeReport {
     std::vector<FailoverRecord> failovers;
     std::vector<ServeTraceEntry> trace;
 
-    /** Jain fairness index over admitted tenants' weighted device
-     *  share (1.0 = perfectly fair). */
+    /** Jain fairness index over each admitted tenant's on-time
+     *  frames (served, encoded or from the cache, with no deadline
+     *  miss) per offered frame (1.0 = perfectly fair). */
     double fairness_index = 1.0;
 };
 

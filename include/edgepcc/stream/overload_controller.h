@@ -26,9 +26,9 @@
  * synthetic LoadSpec, so every ladder walk is deterministic and
  * tier-1 tests can pin exact rung sequences. A deadline miss
  * descends one rung immediately; recovery is hysteretic: the
- * controller climbs one rung only after `recover_after_clean`
- * consecutive frames whose EWMA-smoothed utilization leaves
- * `recover_headroom` of the budget free.
+ * controller climbs one rung only after kOverloadRecoverAfterClean
+ * consecutive frames whose EWMA-smoothed utilization stays below
+ * kOverloadRecoverHeadroom of the budget.
  *
  * Admission control and the watchdog live in StreamSession: frames
  * arrive on a fixed fps cadence into a bounded in-flight queue with
@@ -134,7 +134,23 @@ struct LoadSpec {
     bool isIdle() const;
 };
 
-/** Overload-subsystem knobs (SessionConfig::overload). */
+/** EWMA smoothing of the ladder's utilization estimate. */
+inline constexpr double kOverloadEwmaAlpha = 0.4;
+/** Smoothed utilization below this counts as headroom. */
+inline constexpr double kOverloadRecoverHeadroom = 0.6;
+/** Consecutive headroom frames required per one-rung climb. */
+inline constexpr int kOverloadRecoverAfterClean = 3;
+/** A single stage consuming more than this fraction of the deadline
+ *  trips the watchdog even if the frame total fits. */
+inline constexpr double kStageSoftTimeoutFraction = 0.8;
+/** Grid bits removed by the coarse-geometry rung. */
+inline constexpr int kCoarseDropBits = 2;
+
+/**
+ * Overload-subsystem knobs (SessionConfig::overload). The deadline
+ * is checked against the modelled timings of
+ * DeviceSpec::jetsonXavier15W() (platform/device_model.h).
+ */
 struct OverloadConfig {
     bool enabled = false;
 
@@ -149,28 +165,11 @@ struct OverloadConfig {
      *  in telepresence). */
     int queue_capacity = 2;
 
-    /** EWMA smoothing for the utilization estimate (0..1]. */
-    double ewma_alpha = 0.4;
-    /** Smoothed utilization below this counts as headroom. */
-    double recover_headroom = 0.6;
-    /** Consecutive headroom frames required per one-rung climb. */
-    int recover_after_clean = 3;
-
-    /** A single stage consuming more than this fraction of the
-     *  deadline trips the watchdog even if the frame total fits. */
-    double stage_soft_timeout_fraction = 0.8;
-
-    /** Grid bits removed by the coarse-geometry rung. */
-    int coarse_drop_bits = 2;
     /** Attribute quant-step multiplier of the coarse-attr rung. */
     std::uint32_t coarse_quant_multiplier = 4;
 
     /** Synthetic load injection (none by default). */
     LoadSpec load{};
-
-    /** Device whose modelled timings the deadline is checked
-     *  against (platform/device_model.h). */
-    DeviceSpec device = DeviceSpec::jetsonXavier15W();
 
     /** Effective per-frame budget in seconds. */
     double budgetSeconds() const;

@@ -24,22 +24,24 @@
 
 namespace edgepcc {
 
-/** Fixed-stage latencies and pipeline configuration. */
+/** 3D content generation (LiDAR scan / photogrammetry) seconds;
+ *  the paper cites "10s of milliseconds". */
+inline constexpr double kCaptureSeconds = 0.030;
+/** Render & display seconds on the viewer. */
+inline constexpr double kRenderSeconds = 0.012;
+
+/**
+ * Pipeline configuration. Encoder and viewer are both modelled as
+ * DeviceSpec::jetsonXavier15W(), the device the overload ladder
+ * also judges encode latency on.
+ */
 struct PipelineConfig {
     // Out-of-line so the string-bearing member constructors are not
     // inlined into every caller (GCC 12 flags the inlined cleanup
     // paths with a spurious -Wmaybe-uninitialized under -O2).
     PipelineConfig();
 
-    /** 3D content generation (LiDAR scan / photogrammetry); the
-     *  paper cites "10s of milliseconds". */
-    double capture_seconds = 0.030;
-    /** Render & display stage on the viewer. */
-    double render_seconds = 0.012;
-
     NetworkSpec network = NetworkSpec::wifi();
-    DeviceSpec encoder_device = DeviceSpec::jetsonXavier15W();
-    DeviceSpec decoder_device = DeviceSpec::jetsonXavier15W();
 
     /**
      * When true, the transfer stage runs the real chunked

@@ -16,8 +16,8 @@
  *    depth m: parity must cover the losses that actually arrive
  *    together, which a loss rate alone cannot express.
  *  - The group size k follows from the parity byte share the loss
- *    estimate justifies (share = clamp(burst_safety * loss, floor,
- *    max_parity_share); k = m * (1 - share) / share): a clean
+ *    estimate justifies (share = clamp(kBurstSafety * loss, floor,
+ *    kMaxParityShare); k = m * (1 - share) / share): a clean
  *    channel grows k toward max_group_size (overhead -> m/(k+m)
  *    minimum), sustained loss shrinks k so the same m covers a
  *    larger fraction.
@@ -30,7 +30,7 @@
  *    parity share actually being spent: payload_budget =
  *    wire_budget * k / (k + m). The reuse-threshold nudge (the
  *    paper's bitrate knob, multiplied by (payload / budget) ^
- *    rate_gain after every P frame) steers P-frame payloads toward
+ *    kRateGain after every P frame) steers P-frame payloads toward
  *    that post-parity budget, so the overload/byte ladder sees the
  *    true cost of redundancy instead of discovering parity as
  *    surprise overshoot.
@@ -50,6 +50,16 @@
 
 namespace edgepcc {
 
+/** EWMA smoothing for the loss fraction and burst length. */
+inline constexpr double kRedundancyEwmaAlpha = 0.25;
+/** Hard cap on the parity byte share m / (k + m). */
+inline constexpr double kMaxParityShare = 0.4;
+/** Loss-to-share safety margin: the target share is
+ *  kBurstSafety * EWMA loss (clamped). */
+inline constexpr double kBurstSafety = 3.0;
+/** Multiplicative reuse-threshold adjustment strength. */
+inline constexpr double kRateGain = 0.5;
+
 /** Controller knobs; defaults match the edge-link design point. */
 struct RedundancyConfig {
     /** On: negotiate RS k/m (the session needs RS FEC) and, with a
@@ -58,9 +68,6 @@ struct RedundancyConfig {
      *  keyframe rules apply either way. */
     bool enabled = false;
 
-    /** EWMA smoothing for the loss fraction and burst length. */
-    double ewma_alpha = 0.25;
-
     /** Group-size (k) clamp. */
     int min_group_size = 2;
     int max_group_size = 16;
@@ -68,12 +75,6 @@ struct RedundancyConfig {
     /** Parity-depth (m) clamp. m tracks ceil(EWMA burst length). */
     int min_parity = 1;
     int max_parity = 4;
-
-    /** Hard cap on the parity byte share m / (k + m). */
-    double max_parity_share = 0.4;
-    /** Loss-to-share safety margin: the target share is
-     *  burst_safety * EWMA loss (clamped). */
-    double burst_safety = 3.0;
 
     /** GOP clamp + growth cadence (halve on unrecoverable loss,
      *  grow one step per `grow_after_clean` clean frames). Equal
@@ -85,8 +86,6 @@ struct RedundancyConfig {
     /** Per-frame wire-byte budget the bitrate negotiation targets;
      *  0 disables the reuse-threshold coupling. */
     std::uint64_t wire_budget_bytes = 0;
-    /** Multiplicative threshold adjustment strength (0..1]. */
-    double rate_gain = 0.5;
     /** Reuse-threshold clamp (same units as BlockMatchConfig). */
     double min_threshold = 1.0;
     double max_threshold = 2000.0;

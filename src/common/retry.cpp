@@ -2,33 +2,15 @@
 
 #include <algorithm>
 
+#include "edgepcc/common/rng.h"
+
 namespace edgepcc {
-
-namespace {
-
-/** splitmix64: one deterministic draw per (seed, attempt) pair, so
- *  jitter does not depend on evaluation order. */
-std::uint64_t
-mix64(std::uint64_t v)
-{
-    v += 0x9e3779b97f4a7c15ull;
-    v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
-    v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
-    return v ^ (v >> 31);
-}
-
-}  // namespace
 
 double
 RetryPolicy::jitterFor(int attempt) const
 {
-    if (jitter <= 0.0)
-        return 1.0;
-    const std::uint64_t draw = mix64(
-        seed ^ (0xbac0ffull + static_cast<std::uint64_t>(attempt)));
-    // Map the top 53 bits onto [0, 1).
-    const double unit = static_cast<double>(draw >> 11) * 0x1.0p-53;
-    return 1.0 - jitter + 2.0 * jitter * unit;
+    return jitterFactor(jitter, seed, 0xbac0ffull,
+                        static_cast<std::uint64_t>(attempt));
 }
 
 double

@@ -290,7 +290,7 @@ struct RunState {
           replicas(static_cast<std::size_t>(serve_config.replicas)),
           cache(serve_config.cache_capacity),
           injector(serve_config.faults),
-          device_model(serve_config.device)
+          device_model(DeviceSpec::jetsonXavier15W())
     {
         report.tenants.resize(tenants.size());
         report.fleet.sessions = tenants.size();
@@ -846,7 +846,7 @@ settleServed(RunState &run, BatchItem &item, ServedFrame record,
     double cost_s = 0.0;
     if (item.hit) {
         record.outcome = ServeOutcome::kCacheHit;
-        cost_s = config.cache_hit_cost_s;
+        cost_s = kCacheHitCostS;
         run.cache.recordSavings(
             std::max(item.hit->device_cost_s - cost_s, 0.0));
         record.bitstream = item.hit->bitstream;
@@ -929,8 +929,8 @@ settleBatch(RunState &run, ReplicaState &rep,
     ++fleet.batches;
     fleet.batched_frames += batch.size();
     const double batch_start_s = now_s;
-    now_s += run.config.batch_overhead_s;
-    fleet.device_busy_s += run.config.batch_overhead_s;
+    now_s += kBatchOverheadS;
+    fleet.device_busy_s += kBatchOverheadS;
     for (BatchItem &item : batch) {
         TenantState &state = *item.tenant;
         ServedFrame record;
@@ -965,11 +965,16 @@ finishReport(RunState &run)
             std::max(report.fleet.makespan_s, replica.clock_s);
     report.cache = run.cache.stats();
 
+    // Fairness over delivered service: cache hits count as served,
+    // and a tenant is short only by its dropped, faulted, shed or
+    // late frames (setup rejects tenants with no frames).
     std::vector<double> shares;
     for (const TenantState &state : run.states) {
         report.recovery.breaker_trips += state.breaker.trips();
-        shares.push_back(state.report->stats.device_s /
-                         state.spec->weight);
+        const TenantStats &stats = state.report->stats;
+        shares.push_back(
+            static_cast<double>(stats.served - stats.deadline_misses) /
+            static_cast<double>(stats.frames));
     }
     report.fairness_index = jainFairnessIndex(shares);
 

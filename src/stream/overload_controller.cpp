@@ -4,24 +4,10 @@
 #include <cstdlib>
 #include <map>
 
+#include "edgepcc/common/rng.h"
 #include "edgepcc/common/trace.h"
 
 namespace edgepcc {
-
-namespace {
-
-/** splitmix64: one deterministic draw per (seed, frame) pair, so
- *  jitter does not depend on evaluation order. */
-std::uint64_t
-mix64(std::uint64_t v)
-{
-    v += 0x9e3779b97f4a7c15ull;
-    v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
-    v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
-    return v ^ (v >> 31);
-}
-
-}  // namespace
 
 const char *
 overloadRungName(OverloadRung rung)
@@ -130,13 +116,7 @@ LoadSpec::factorFor(std::uint32_t frame,
 double
 LoadSpec::jitterFor(std::uint32_t frame) const
 {
-    if (jitter <= 0.0)
-        return 1.0;
-    const std::uint64_t draw = mix64(seed ^ (0xf00dull + frame));
-    // Map the top 53 bits onto [0, 1).
-    const double unit =
-        static_cast<double>(draw >> 11) * 0x1.0p-53;
-    return 1.0 - jitter + 2.0 * jitter * unit;
+    return jitterFactor(jitter, seed, 0xf00dull, frame);
 }
 
 Expected<LoadSpec>
@@ -259,16 +239,16 @@ OverloadController::onFrame(double encode_s)
     MutexLock lock(mutex_);
     const double utilization = encode_s / budget_s_;
     ewma_utilization_ =
-        (1.0 - config_.ewma_alpha) * ewma_utilization_ +
-        config_.ewma_alpha * utilization;
+        (1.0 - kOverloadEwmaAlpha) * ewma_utilization_ +
+        kOverloadEwmaAlpha * utilization;
     if (encode_s > budget_s_)
         return descendLocked(OverloadEvent::kDeadlineMiss);
     if (rung_ == OverloadRung::kFull ||
-        ewma_utilization_ >= config_.recover_headroom) {
+        ewma_utilization_ >= kOverloadRecoverHeadroom) {
         headroom_streak_ = 0;
         return OverloadEvent::kNone;
     }
-    if (++headroom_streak_ < config_.recover_after_clean)
+    if (++headroom_streak_ < kOverloadRecoverAfterClean)
         return OverloadEvent::kNone;
     headroom_streak_ = 0;
     rung_ = static_cast<OverloadRung>(static_cast<int>(rung_) - 1);
@@ -282,8 +262,8 @@ OverloadController::onStall(double encode_s)
         return OverloadEvent::kNone;
     MutexLock lock(mutex_);
     ewma_utilization_ =
-        (1.0 - config_.ewma_alpha) * ewma_utilization_ +
-        config_.ewma_alpha * (encode_s / budget_s_);
+        (1.0 - kOverloadEwmaAlpha) * ewma_utilization_ +
+        kOverloadEwmaAlpha * (encode_s / budget_s_);
     return descendLocked(OverloadEvent::kStageStall);
 }
 

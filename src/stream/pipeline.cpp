@@ -66,17 +66,12 @@ evaluateTransport(const std::vector<VoxelCloud> &frames,
                   const CodecConfig &codec,
                   const PipelineConfig &config)
 {
-    const EdgeDeviceModel encoder_model(config.encoder_device);
-    const EdgeDeviceModel decoder_model(config.decoder_device);
+    const EdgeDeviceModel device_model(DeviceSpec::jetsonXavier15W());
 
     SessionConfig session = config.session;
     if (!config.use_session_channel)
         session.channel = ChannelSpec::fromNetwork(
             config.network, config.transport_seed);
-    // The deadline ladder judges encode latency on the same device
-    // the pipeline prices the encode stage with.
-    if (session.overload.enabled)
-        session.overload.device = config.encoder_device;
     StreamSession stream(codec, session);
     auto run = stream.run(frames);
     if (!run)
@@ -96,9 +91,9 @@ evaluateTransport(const std::vector<VoxelCloud> &frames,
         latency.type = frame.type;
         latency.outcome = frame.outcome;
         latency.retransmits = frame.retransmits;
-        latency.capture_s = config.capture_seconds;
+        latency.capture_s = kCaptureSeconds;
         latency.encode_s =
-            encoder_model.evaluate(frame.encode_profile)
+            device_model.evaluate(frame.encode_profile)
                 .modelSeconds();
         // Under the overload ladder the effective encode latency
         // (LoadSpec-scaled) is the honest number.
@@ -116,9 +111,9 @@ evaluateTransport(const std::vector<VoxelCloud> &frames,
             frame.backoff_s +
             static_cast<double>(frame.nack_rounds) * rtt_s;
         latency.decode_s =
-            decoder_model.evaluate(frame.decode_profile)
+            device_model.evaluate(frame.decode_profile)
                 .modelSeconds();
-        latency.render_s = config.render_seconds;
+        latency.render_s = kRenderSeconds;
         report.frames.push_back(latency);
     }
     return report;
@@ -139,8 +134,7 @@ evaluatePipeline(const std::vector<VoxelCloud> &frames,
         return evaluateTransport(frames, codec, config);
     }
 
-    const EdgeDeviceModel encoder_model(config.encoder_device);
-    const EdgeDeviceModel decoder_model(config.decoder_device);
+    const EdgeDeviceModel device_model(DeviceSpec::jetsonXavier15W());
     VideoEncoder encoder(codec);
     VideoDecoder decoder;
 
@@ -159,18 +153,18 @@ evaluatePipeline(const std::vector<VoxelCloud> &frames,
 
         FrameLatency latency;
         latency.type = encoded->stats.type;
-        latency.capture_s = config.capture_seconds;
+        latency.capture_s = kCaptureSeconds;
         latency.encode_s =
-            encoder_model.evaluate(encoded->profile)
+            device_model.evaluate(encoded->profile)
                 .modelSeconds();
         latency.bytes = encoded->bitstream.size();
         latency.wire_bytes = latency.bytes;
         latency.transmit_s =
             config.network.transferSeconds(latency.bytes);
         latency.decode_s =
-            decoder_model.evaluate(decoded->profile)
+            device_model.evaluate(decoded->profile)
                 .modelSeconds();
-        latency.render_s = config.render_seconds;
+        latency.render_s = kRenderSeconds;
         report.frames.push_back(latency);
     }
     return report;

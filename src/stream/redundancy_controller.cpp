@@ -43,8 +43,8 @@ RedundancyController::decideLocked() const
     const double floor_share =
         static_cast<double>(m) / static_cast<double>(k_max + m);
     const double share = std::clamp(
-        config_.burst_safety * ewma_loss_, floor_share,
-        std::max(config_.max_parity_share, floor_share));
+        kBurstSafety * ewma_loss_, floor_share,
+        std::max(kMaxParityShare, floor_share));
     const int k_raw = static_cast<int>(std::lround(
         static_cast<double>(m) * (1.0 - share) / share));
     // k > m keeps the code a net win over plain repetition.
@@ -71,8 +71,7 @@ RedundancyController::decideLocked() const
 RedundancyDecision
 RedundancyController::decide() const
 {
-    ScopedTrace trace("stream.redundancy_decide",
-                      Tracer::kVerbosityKernel);
+    ScopedTrace trace("stream.redundancy_decide");
     MutexLock lock(mutex_);
     return decideLocked();
 }
@@ -93,13 +92,12 @@ RedundancyController::onFrameFeedback(int chunks_sent,
                                       bool delivered)
 {
     MutexLock lock(mutex_);
-    const double alpha =
-        std::clamp(config_.ewma_alpha, 1e-6, 1.0);
     const double loss =
         chunks_sent > 0 ? static_cast<double>(chunks_lost) /
                               static_cast<double>(chunks_sent)
                         : 0.0;
-    ewma_loss_ = alpha * loss + (1.0 - alpha) * ewma_loss_;
+    ewma_loss_ = kRedundancyEwmaAlpha * loss +
+                 (1.0 - kRedundancyEwmaAlpha) * ewma_loss_;
     // Burst length only means something when chunks were lost; a
     // clean frame instead decays the estimate toward 1 (the
     // uncorrelated-loss baseline) so m relaxes on quiet links.
@@ -108,7 +106,8 @@ RedundancyController::onFrameFeedback(int chunks_sent,
             ? static_cast<double>(std::max(max_burst, 1))
             : 1.0;
     ewma_burst_ =
-        alpha * burst_sample + (1.0 - alpha) * ewma_burst_;
+        kRedundancyEwmaAlpha * burst_sample +
+        (1.0 - kRedundancyEwmaAlpha) * ewma_burst_;
 
     // GOP + keyframe react only to genuinely unrecoverable loss:
     // parity-absorbed damage already paid its bytes.
@@ -142,8 +141,7 @@ RedundancyController::onEncodedFrame(Frame::Type type,
         return;
     const double ratio =
         static_cast<double>(payload_bytes) / budget;
-    const double gain = std::clamp(config_.rate_gain, 0.0, 1.0);
-    threshold_ *= std::pow(ratio, gain);
+    threshold_ *= std::pow(ratio, kRateGain);
     threshold_ = std::clamp(threshold_, config_.min_threshold,
                             config_.max_threshold);
 }

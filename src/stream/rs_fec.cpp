@@ -46,8 +46,7 @@ void
 buildRsParityInto(const std::vector<ChunkView> &group, int row,
                   std::vector<std::uint8_t> &parity)
 {
-    ScopedTrace trace("stream.rs_encode",
-                      Tracer::kVerbosityKernel);
+    ScopedTrace trace("stream.rs_encode");
     const int k = static_cast<int>(group.size());
     std::size_t longest = 0;
     for (const ChunkView &chunk : group)
@@ -65,8 +64,7 @@ recoverRsChunks(int k,
                 const std::map<int, std::vector<std::uint8_t>>
                     &parity_rows)
 {
-    ScopedTrace trace("stream.rs_decode",
-                      Tracer::kVerbosityKernel);
+    ScopedTrace trace("stream.rs_decode");
     if (k < 1 || k > kRsMaxGroupPlusParity ||
         data.size() > static_cast<std::size_t>(k))
         return std::nullopt;

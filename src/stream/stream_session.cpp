@@ -458,10 +458,6 @@ validateSessionConfig(const SessionConfig &config)
         return invalidArgument(
             "SessionConfig: redundancy max_group_size + "
             "max_parity must be <= 255");
-    if (red.max_parity_share <= 0.0 || red.max_parity_share >= 1.0)
-        return invalidArgument(
-            "SessionConfig: redundancy max_parity_share must "
-            "be in (0, 1)");
     if (red.min_gop_size < 1 || red.max_gop_size < red.min_gop_size)
         return invalidArgument(
             "SessionConfig: redundancy GOP bounds invalid (need "
@@ -522,7 +518,7 @@ struct RunState {
         session.redundancy, codec.gop_size,
         codec.block_match.reuse_threshold};
     OverloadController ladder{session.overload};
-    const EdgeDeviceModel device_model{session.overload.device};
+    const EdgeDeviceModel device_model{DeviceSpec::jetsonXavier15W()};
     SessionReport report;
 
     // Overload ladder (inactive unless configured): the encode
@@ -684,7 +680,7 @@ bookEncodeLatency(RunState &st, const OverloadFrame &slot,
     const bool stalled =
         budget_s > 0.0 &&
         eff.worst_stage_s >
-            budget_s * config.stage_soft_timeout_fraction;
+            budget_s * kStageSoftTimeoutFraction;
     const OverloadEvent event = stalled
                                     ? st.ladder.onStall(effective_s)
                                     : st.ladder.onFrame(effective_s);
@@ -736,7 +732,7 @@ encodeFrame(RunState &st, const OverloadFrame &slot,
         }
         const int drop_bits =
             slot.rung >= OverloadRung::kCoarseGeometry
-                ? overload.coarse_drop_bits
+                ? kCoarseDropBits
                 : 0;
         if (drop_bits != st.applied_drop_bits) {
             // The voxel grid changed; the prediction reference

@@ -180,8 +180,8 @@ TEST(OverloadControllerTest, MissDescendsHeadroomClimbs)
     EXPECT_EQ(ladder.rung(), OverloadRung::kNoEntropy);
 
     // On-time frames with headroom: the EWMA must first decay
-    // below recover_headroom, then recover_after_clean consecutive
-    // clean frames climb exactly one rung.
+    // below kOverloadRecoverHeadroom, then kOverloadRecoverAfterClean
+    // consecutive clean frames climb exactly one rung.
     int frames_until_recovery = 0;
     while (ladder.rung() == OverloadRung::kNoEntropy) {
         EXPECT_LT(frames_until_recovery, 32);
@@ -192,7 +192,7 @@ TEST(OverloadControllerTest, MissDescendsHeadroomClimbs)
         EXPECT_EQ(event, OverloadEvent::kNone);
     }
     EXPECT_EQ(ladder.rung(), OverloadRung::kFull);
-    EXPECT_GE(frames_until_recovery, config.recover_after_clean);
+    EXPECT_GE(frames_until_recovery, kOverloadRecoverAfterClean);
 }
 
 TEST(OverloadControllerTest, ClampsAtSkipRung)

@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "edgepcc/common/work_counters.h"
 #include "edgepcc/core/codec_config.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
+#include "edgepcc/stream/stream_session.h"
 
 namespace edgepcc {
 namespace {
@@ -30,7 +32,6 @@ class TraceTest : public ::testing::Test
     TearDown() override
     {
         Tracer::global().setEnabled(false);
-        Tracer::global().setVerbosity(0);
         Tracer::global().clear();
     }
 };
@@ -56,25 +57,44 @@ TEST_F(TraceTest, EnabledSpansRecordNameAndDuration)
     EXPECT_GE(events[0].start_s, 0.0);
 }
 
-TEST_F(TraceTest, KernelSpansGatedByVerbosity)
+/** The per-group FEC kernels and the per-frame controller decision
+ *  record whenever tracing is on; rs_decode fires once a group
+ *  becomes solvable. */
+TEST_F(TraceTest, StreamKernelSpansRecordWithTracingOn)
 {
-    Tracer::global().setEnabled(true);
-    // Default verbosity 0: per-kernel spans are skipped, stage
-    // spans still record.
-    {
-        ScopedTrace kernel("test.kernel",
-                           Tracer::kVerbosityKernel);
-        ScopedTrace stage("test.stage");
-    }
-    EXPECT_EQ(Tracer::global().eventCount(), 1u);
+    VideoSpec spec;
+    spec.name = "trace-stream";
+    spec.target_points = 3000;
+    const SyntheticHumanVideo video(spec);
+    std::vector<VoxelCloud> frames;
+    for (int f = 0; f < 4; ++f)
+        frames.push_back(video.frame(f));
+    SessionConfig session;
+    session.channel = ChannelSpec::bursty(0.05, 2, 1);
+    session.mtu_payload = 400;
+    session.fec.enabled = true;
+    session.fec.scheme = FecScheme::kReedSolomon;
+    session.fec.group_size = 6;
+    session.fec.parity_chunks = 3;
 
-    Tracer::global().setVerbosity(Tracer::kVerbosityKernel);
-    {
-        ScopedTrace kernel("test.kernel",
-                           Tracer::kVerbosityKernel);
+    Tracer::global().setEnabled(true);
+    StreamSession stream(makeIntraInterV1Config(), session);
+    auto report = stream.run(frames);
+    Tracer::global().setEnabled(false);
+    ASSERT_TRUE(report.hasValue());
+    ASSERT_GT(report->fec.recovered_chunks, 0u);
+
+    const auto events = Tracer::global().events();
+    for (const char *name :
+         {"stream.rs_encode", "stream.rs_decode",
+          "stream.redundancy_decide"}) {
+        EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                                [&](const TraceEvent &event) {
+                                    return std::string_view(
+                                               event.name) == name;
+                                }))
+            << name;
     }
-    EXPECT_EQ(Tracer::global().eventCount(), 2u);
-    Tracer::global().setVerbosity(0);
 }
 
 TEST_F(TraceTest, StopEndsSpanEarlyAndIsIdempotent)
