@@ -2,11 +2,19 @@
  * @file
  * Bit-granular serialization used by the fixed-width packers (the
  * proposed codec's quantized deltas, reuse pointers, headers).
+ *
+ * Layout: bits are packed LSB-first, so bit i of the stream is bit
+ * (i % 8) of byte (i / 8). Both classes move a 64-bit word at a
+ * time on their fast paths; the bytes produced and consumed are
+ * exactly those of a bit-at-a-time loop (tests/test_bitstream.cpp
+ * keeps that loop as the reference model).
  */
 
 #ifndef EDGEPCC_ENTROPY_BITSTREAM_H
 #define EDGEPCC_ENTROPY_BITSTREAM_H
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,7 +27,23 @@ class BitWriter
 {
   public:
     /** Appends the low `count` bits of `value` (count in [0, 64]). */
-    void writeBits(std::uint64_t value, int count);
+    void
+    writeBits(std::uint64_t value, int count)
+    {
+        assert(count >= 0 && count <= 64);
+        if (count < 64)
+            value &= (std::uint64_t{1} << count) - 1;
+        const int used = pending_;
+        word_ |= value << used;
+        pending_ = used + count;
+        if (pending_ >= 64) {
+            appendWord(word_);
+            pending_ -= 64;
+            // The bits of `value` that did not fit; none when the
+            // word was empty (count was then exactly 64).
+            word_ = used == 0 ? 0 : value >> (64 - used);
+        }
+    }
 
     /** Pads with zero bits to the next byte boundary. */
     void alignToByte();
@@ -33,16 +57,15 @@ class BitWriter
     /** Zigzag-mapped signed LEB128. */
     void writeSignedVarint(std::int64_t value);
 
-    std::size_t bitCount() const { return bytes_.size() * 8 - (8 - fill_) % 8; }
-
     /** Finalizes (aligns) and returns the buffer. */
     std::vector<std::uint8_t> take();
 
-    const std::vector<std::uint8_t> &bytes() const { return bytes_; }
-
   private:
+    void appendWord(std::uint64_t word);
+
     std::vector<std::uint8_t> bytes_;
-    int fill_ = 8;  ///< bits already used in the last byte (8 = full)
+    std::uint64_t word_ = 0;  ///< pending bits, LSB first
+    int pending_ = 0;         ///< valid bits in word_, in [0, 63]
 };
 
 /** Reads bits LSB-first from a byte buffer. */
@@ -63,11 +86,46 @@ class BitReader
      *  dangle. */
     explicit BitReader(std::vector<std::uint8_t> &&) = delete;
 
-    /** Reads `count` bits; sets the overrun flag past the end. */
-    std::uint64_t readBits(int count);
+    /**
+     * Reads `count` bits (count in [0, 64]); sets the overrun flag
+     * past the end and then returns the bits that were there. A
+     * read of at most 56 bits with 8 bytes left is one word load;
+     * every other read takes the byte loop.
+     */
+    std::uint64_t
+    readBits(int count)
+    {
+        assert(count >= 0 && count <= 64);
+        if (count > 56 || size_ - byte_ < 8)
+            return readBitsTail(count);
+        const std::uint64_t value =
+            (loadWord(data_ + byte_) >> bit_) &
+            ((std::uint64_t{1} << count) - 1);
+        const int end = bit_ + count;
+        byte_ += static_cast<std::size_t>(end >> 3);
+        bit_ = end & 7;
+        return value;
+    }
 
     /** Skips to the next byte boundary. */
     void alignToByte();
+
+    /**
+     * Skips `n` whole bytes of a byte-aligned reader; the caller has
+     * checked hasBytes(n). Past the end it clamps and sets the
+     * overrun flag.
+     */
+    void
+    skipBytes(std::size_t n)
+    {
+        assert(bit_ == 0);
+        if (!hasBytes(n)) {
+            byte_ = size_;
+            overrun_ = true;
+            return;
+        }
+        byte_ += n;
+    }
 
     std::uint64_t readVarint();
     std::int64_t readSignedVarint();
@@ -93,10 +151,29 @@ class BitReader
     }
 
   private:
+    /** Little-endian 8-byte load. Written out byte by byte so it is
+     *  portable; GCC and Clang fold it into one load on
+     *  little-endian targets (a loop form is not folded). */
+    static std::uint64_t
+    loadWord(const std::uint8_t *p)
+    {
+        return static_cast<std::uint64_t>(p[0]) |
+               static_cast<std::uint64_t>(p[1]) << 8 |
+               static_cast<std::uint64_t>(p[2]) << 16 |
+               static_cast<std::uint64_t>(p[3]) << 24 |
+               static_cast<std::uint64_t>(p[4]) << 32 |
+               static_cast<std::uint64_t>(p[5]) << 40 |
+               static_cast<std::uint64_t>(p[6]) << 48 |
+               static_cast<std::uint64_t>(p[7]) << 56;
+    }
+
+    /** The byte loop: reads near the end, wide reads, overruns. */
+    std::uint64_t readBitsTail(int count);
+
     const std::uint8_t *data_;
     std::size_t size_;
-    std::size_t byte_ = 0;
-    int bit_ = 0;
+    std::size_t byte_ = 0;  ///< never past size_
+    int bit_ = 0;           ///< in [0, 7]; non-zero only below size_
     bool overrun_ = false;
 };
 

@@ -287,8 +287,7 @@ decodePredictingInto(const std::vector<std::uint8_t> &payload,
         if (channel.overrun())
             return corruptBitstream(
                 "predicting payload: residual stream truncated");
-        for (std::size_t k = 0; k < packed_size; ++k)
-            reader.readBits(8);
+        reader.skipBytes(packed_size);
     }
 
     std::vector<std::array<double, 3>> recon(n);

@@ -285,8 +285,7 @@ decodeRahtInto(const std::vector<std::uint8_t> &payload,
             return corruptBitstream(
                 "RAHT payload: coefficient stream truncated");
         // Skip the consumed bytes in the outer reader.
-        for (std::size_t k = 0; k < packed_size; ++k)
-            reader.readBits(8);
+        reader.skipBytes(packed_size);
     }
 
     // Rebuild the merge schedule from the decoded geometry.

@@ -24,23 +24,22 @@ roundDiv(std::int64_t value, std::int64_t divisor)
     return -((-value + divisor / 2) / divisor);
 }
 
-/** floor((a+b)/2) that is safe for negative sums. */
-std::int32_t
-midOf(std::int32_t lo, std::int32_t hi)
+/** floor((a+b)/2) that is safe for negative sums. Inputs stay
+ *  within +/-2^33 (int32 values and their quantized residuals). */
+std::int64_t
+midOf(std::int64_t lo, std::int64_t hi)
 {
-    const std::int64_t sum =
-        static_cast<std::int64_t>(lo) + static_cast<std::int64_t>(hi);
-    return static_cast<std::int32_t>(sum >> 1);
+    return (lo + hi) >> 1;
 }
 
 /** Min and max of a segment's values. Deliberately scalar:
  *  segments hold ~24 points, too few for vector lanes to pay. */
+template <typename T>
 void
-minMaxI32(const std::int32_t *v, std::size_t n,
-          std::int32_t &out_min, std::int32_t &out_max)
+minMax(const T *v, std::size_t n, T &out_min, T &out_max)
 {
-    std::int32_t vmin = v[0];
-    std::int32_t vmax = v[0];
+    T vmin = v[0];
+    T vmax = v[0];
     for (std::size_t i = 1; i < n; ++i) {
         vmin = std::min(vmin, v[i]);
         vmax = std::max(vmax, v[i]);
@@ -51,8 +50,7 @@ minMaxI32(const std::int32_t *v, std::size_t n,
 
 /** Widest zigzag residual of a segment against `mid2`. */
 std::uint64_t
-maxZigzagI32(const std::int32_t *v, std::size_t n,
-             std::int32_t mid2)
+maxZigzag(const std::int64_t *v, std::size_t n, std::int64_t mid2)
 {
     std::uint64_t max_zig = 0;
     for (std::size_t i = 0; i < n; ++i)
@@ -114,13 +112,15 @@ encodeSegmentAttr(const AttrChannels &channels,
     writer.writeVarint(config.quant_step);
 
     // Per-segment quantized scratch, SoA and arena-backed inside a
-    // frame (heap fallback for direct API calls outside one).
+    // frame (heap fallback for direct API calls outside one). It is
+    // 64-bit because a residual against the mid-range of two int32
+    // extremes needs 33 bits.
     const std::size_t max_segment = layout.points_per_segment;
     FrameArena *arena = currentFrameArena();
-    std::vector<std::int32_t> quantized_heap;
-    std::int32_t *quantized = nullptr;
+    std::vector<std::int64_t> quantized_heap;
+    std::int64_t *quantized = nullptr;
     if (arena != nullptr) {
-        quantized = arena->allocateArray<std::int32_t>(max_segment);
+        quantized = arena->allocateArray<std::int64_t>(max_segment);
     } else {
         quantized_heap.resize(max_segment);
         quantized = quantized_heap.data();
@@ -136,23 +136,21 @@ encodeSegmentAttr(const AttrChannels &channels,
             // ---- layer 1: mid-range base + quantized residuals --
             std::int32_t vmin = 0;
             std::int32_t vmax = 0;
-            minMaxI32(values.data() + lo, count, vmin, vmax);
-            const std::int32_t mid1 = midOf(vmin, vmax);
-            for (std::size_t i = 0; i < count; ++i) {
-                quantized[i] = static_cast<std::int32_t>(
-                    roundDiv(values[lo + i] - mid1, q));
-            }
+            minMax(values.data() + lo, count, vmin, vmax);
+            const std::int64_t mid1 = midOf(vmin, vmax);
+            for (std::size_t i = 0; i < count; ++i)
+                quantized[i] = roundDiv(values[lo + i] - mid1, q);
 
             // ---- layer 2: lossless base + packed residuals -----
-            std::int32_t mid2 = 0;
+            std::int64_t mid2 = 0;
             if (config.two_layer) {
-                std::int32_t qmin = 0;
-                std::int32_t qmax = 0;
-                minMaxI32(quantized, count, qmin, qmax);
+                std::int64_t qmin = 0;
+                std::int64_t qmax = 0;
+                minMax(quantized, count, qmin, qmax);
                 mid2 = midOf(qmin, qmax);
             }
             const std::uint64_t max_zig =
-                maxZigzagI32(quantized, count, mid2);
+                maxZigzag(quantized, count, mid2);
             const int width = bitWidth(max_zig);
 
             writer.writeSignedVarint(mid1);

@@ -124,8 +124,7 @@ parseContainer(const std::vector<std::uint8_t> &bitstream)
             bitstream.begin() +
                 static_cast<std::ptrdiff_t>(reader.byteOffset() +
                                             size));
-        for (std::size_t k = 0; k < size; ++k)
-            reader.readBits(8);
+        reader.skipBytes(size);
         return Status::ok();
     };
     EDGEPCC_RETURN_IF_ERROR(read_block(parsed.geometry));

@@ -1,35 +1,35 @@
 #include "edgepcc/entropy/bitstream.h"
 
 #include <bit>
-#include <cassert>
 
 namespace edgepcc {
 
 void
-BitWriter::writeBits(std::uint64_t value, int count)
+BitWriter::appendWord(std::uint64_t word)
 {
-    assert(count >= 0 && count <= 64);
-    if (count < 64)
-        value &= (std::uint64_t{1} << count) - 1;
-    while (count > 0) {
-        if (fill_ == 8) {
-            bytes_.push_back(0);
-            fill_ = 0;
-        }
-        const int space = 8 - fill_;
-        const int take = count < space ? count : space;
-        bytes_.back() |= static_cast<std::uint8_t>(
-            (value & ((std::uint64_t{1} << take) - 1)) << fill_);
-        value >>= take;
-        fill_ += take;
-        count -= take;
-    }
+    // Written out so compilers merge it into one 8-byte store on
+    // little-endian targets (a loop form is not merged).
+    const std::uint8_t bytes[8] = {
+        static_cast<std::uint8_t>(word),
+        static_cast<std::uint8_t>(word >> 8),
+        static_cast<std::uint8_t>(word >> 16),
+        static_cast<std::uint8_t>(word >> 24),
+        static_cast<std::uint8_t>(word >> 32),
+        static_cast<std::uint8_t>(word >> 40),
+        static_cast<std::uint8_t>(word >> 48),
+        static_cast<std::uint8_t>(word >> 56)};
+    bytes_.insert(bytes_.end(), bytes, bytes + 8);
 }
 
 void
 BitWriter::alignToByte()
 {
-    fill_ = 8;
+    // Moves every started byte out; the bits above pending_ are
+    // zero, so a partial last byte is padded with zeros.
+    for (int k = 0; k < pending_; k += 8)
+        bytes_.push_back(static_cast<std::uint8_t>(word_ >> k));
+    word_ = 0;
+    pending_ = 0;
 }
 
 void
@@ -63,9 +63,8 @@ BitWriter::take()
 }
 
 std::uint64_t
-BitReader::readBits(int count)
+BitReader::readBitsTail(int count)
 {
-    assert(count >= 0 && count <= 64);
     std::uint64_t value = 0;
     int produced = 0;
     while (produced < count) {

@@ -497,8 +497,7 @@ decodeRawEntropyAttrInto(const std::vector<std::uint8_t> &payload,
         if (!raw)
             return raw.status();
         *channel = raw.takeValue();
-        for (std::size_t k = 0; k < packed_size; ++k)
-            reader.readBits(8);
+        reader.skipBytes(packed_size);
     }
     return Status::ok();
 }

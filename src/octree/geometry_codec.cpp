@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 
 #include "edgepcc/common/check.h"
@@ -378,6 +379,35 @@ class OccupancyByteSource
         return header_->occupancy[cursor_++];
     }
 
+    /**
+     * The next `n` bytes, one per node of a BFS level in stream
+     * order; in contextual mode node i is decoded with
+     * `parent_bytes[i]` as its context. Null on underflow or
+     * corruption. Plain bytes are returned in place, decoded ones
+     * in `scratch`.
+     */
+    const std::uint8_t *
+    nextLevel(const std::uint8_t *parent_bytes, std::size_t n,
+              std::vector<std::uint8_t> &scratch)
+    {
+        if (!decoder_) {
+            if (n > header_->occupancy.size() - cursor_)
+                return nullptr;
+            const std::uint8_t *level =
+                header_->occupancy.data() + cursor_;
+            cursor_ += n;
+            return level;
+        }
+        scratch.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const int byte = next(parent_bytes[i]);
+            if (byte < 0)
+                return nullptr;
+            scratch[i] = static_cast<std::uint8_t>(byte);
+        }
+        return scratch.data();
+    }
+
     /** True when exactly all bytes were consumed. */
     bool
     exhausted() const
@@ -480,50 +510,78 @@ parsePayload(const std::vector<std::uint8_t> &payload)
     return header;
 }
 
-/** Expands BFS occupancy bytes into sorted leaf codes. */
+/**
+ * Widest level (and largest leaf count) the header allows. Every
+ * branch node has at least one child, so no level of a valid tree
+ * holds more nodes than its leaves.
+ */
+std::size_t
+maxTreeWidth(const ParsedHeader &header)
+{
+    return header.num_voxels != 0 ? header.num_voxels
+                                  : kMaxDecodeItems;
+}
+
+/**
+ * Expands BFS occupancy bytes into sorted leaf codes. Each level
+ * fetches its bytes, sizes the next level exactly from their
+ * popcounts (rejected before allocation when wider than the tree
+ * can be), then emits each byte's children in octant order.
+ */
 Expected<std::vector<std::uint64_t>>
 expandBreadthFirst(const ParsedHeader &header)
 {
     OccupancyByteSource source(header);
-
-    struct Node {
-        std::uint64_t code;
-        std::uint8_t parent_byte;
-    };
-    std::vector<Node> frontier{{0, 0}};
+    const bool contextual = header.flags & kFlagContextual;
+    const std::size_t max_width = maxTreeWidth(header);
+    std::vector<std::uint64_t> codes{0};
+    std::vector<std::uint64_t> next_codes;
+    // Each node's parent byte: the context of its own byte.
+    std::vector<std::uint8_t> parent_bytes{0};
+    std::vector<std::uint8_t> decoded;
     for (int level = 0; level < header.depth; ++level) {
-        std::vector<Node> next;
-        next.reserve(frontier.size() * 2);
-        for (const Node &node : frontier) {
-            const int bits = source.next(node.parent_byte);
-            if (bits < 0)
-                return corruptBitstream(
-                    "geometry payload: occupancy underflow");
-            if (bits == 0)
+        const std::size_t n = codes.size();
+        const std::uint8_t *occupancy =
+            source.nextLevel(parent_bytes.data(), n, decoded);
+        if (occupancy == nullptr)
+            return corruptBitstream(
+                "geometry payload: occupancy underflow");
+        std::size_t children = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (occupancy[i] == 0)
                 return corruptBitstream(
                     "geometry payload: empty branch node");
-            for (int octant = 0; octant < 8; ++octant) {
-                if (bits & (1 << octant)) {
-                    next.push_back(
-                        {(node.code << 3) |
-                             static_cast<std::uint64_t>(octant),
-                         static_cast<std::uint8_t>(bits)});
-                }
+            children += static_cast<std::size_t>(
+                std::popcount(occupancy[i]));
+        }
+        EDGEPCC_CHECK_CORRUPT(
+            children <= max_width,
+            "geometry payload: level wider than the voxel bound");
+
+        next_codes.resize(children);
+        std::uint64_t *out = next_codes.data();
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t base = codes[i] << 3;
+            for (unsigned bits = occupancy[i]; bits != 0;
+                 bits &= bits - 1) {
+                *out++ = base | static_cast<std::uint64_t>(
+                                    std::countr_zero(bits));
             }
         }
-        frontier = std::move(next);
-        EDGEPCC_CHECK_CORRUPT(
-            frontier.size() <= kMaxDecodeItems,
-            "geometry payload: tree expansion exceeds leaf cap");
+        if (contextual) {
+            parent_bytes.resize(children);
+            std::uint8_t *parent = parent_bytes.data();
+            for (std::size_t i = 0; i < n; ++i)
+                parent = std::fill_n(parent,
+                                     std::popcount(occupancy[i]),
+                                     occupancy[i]);
+        }
+        codes.swap(next_codes);
     }
     if (!source.exhausted())
         return corruptBitstream(
             "geometry payload: trailing occupancy bytes");
-    std::vector<std::uint64_t> leaves;
-    leaves.reserve(frontier.size());
-    for (const Node &node : frontier)
-        leaves.push_back(node.code);
-    return leaves;
+    return codes;
 }
 
 /** Expands DFS occupancy bytes into sorted leaf codes. */
@@ -531,6 +589,7 @@ Expected<std::vector<std::uint64_t>>
 expandDepthFirst(const ParsedHeader &header)
 {
     OccupancyByteSource source(header);
+    const std::size_t max_leaves = maxTreeWidth(header);
     std::vector<std::uint64_t> leaves;
 
     struct StackEntry {
@@ -544,8 +603,8 @@ expandDepthFirst(const ParsedHeader &header)
         stack.pop_back();
         if (entry.level == header.depth) {
             EDGEPCC_CHECK_CORRUPT(
-                leaves.size() < kMaxDecodeItems,
-                "geometry payload: tree expansion exceeds leaf cap");
+                leaves.size() < max_leaves,
+                "geometry payload: more leaves than the voxel bound");
             leaves.push_back(entry.code);
             continue;
         }

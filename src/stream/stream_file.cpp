@@ -56,8 +56,7 @@ unpackStream(const std::vector<std::uint8_t> &bytes)
             bytes.begin() +
                 static_cast<std::ptrdiff_t>(reader.byteOffset() +
                                             size));
-        for (std::size_t k = 0; k < size; ++k)
-            reader.readBits(8);
+        reader.skipBytes(size);
     }
     return frames;
 }

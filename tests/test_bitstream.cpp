@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "edgepcc/common/rng.h"
 
 namespace edgepcc {
@@ -173,6 +176,297 @@ TEST_P(BitstreamFuzz, RandomMixedRoundtrip)
 INSTANTIATE_TEST_SUITE_P(Seeds, BitstreamFuzz,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21,
                                            34));
+
+// -----------------------------------------------------------------
+// Differential tests against a bit-at-a-time reference model
+// -----------------------------------------------------------------
+
+/** Reference writer: one byte-granular loop, no word buffering. */
+class RefWriter
+{
+  public:
+    void
+    writeBits(std::uint64_t value, int count)
+    {
+        if (count < 64)
+            value &= (std::uint64_t{1} << count) - 1;
+        while (count > 0) {
+            if (fill_ == 8) {
+                bytes_.push_back(0);
+                fill_ = 0;
+            }
+            const int space = 8 - fill_;
+            const int take = count < space ? count : space;
+            bytes_.back() |= static_cast<std::uint8_t>(
+                (value & ((std::uint64_t{1} << take) - 1)) << fill_);
+            value >>= take;
+            fill_ += take;
+            count -= take;
+        }
+    }
+
+    void alignToByte() { fill_ = 8; }
+
+    void
+    writeBytes(const std::uint8_t *data, std::size_t size)
+    {
+        alignToByte();
+        bytes_.insert(bytes_.end(), data, data + size);
+    }
+
+    void
+    writeVarint(std::uint64_t value)
+    {
+        while (value >= 0x80) {
+            writeBits((value & 0x7f) | 0x80, 8);
+            value >>= 7;
+        }
+        writeBits(value, 8);
+    }
+
+    void writeSignedVarint(std::int64_t value)
+    {
+        writeVarint(zigzagEncode(value));
+    }
+
+    const std::vector<std::uint8_t> &bytes() const { return bytes_; }
+
+  private:
+    std::vector<std::uint8_t> bytes_;
+    int fill_ = 8;
+};
+
+/** Reference reader: every read goes through the byte loop. */
+class RefReader
+{
+  public:
+    explicit RefReader(const std::vector<std::uint8_t> &bytes)
+        : bytes_(bytes)
+    {
+    }
+
+    std::uint64_t
+    readBits(int count)
+    {
+        std::uint64_t value = 0;
+        int produced = 0;
+        while (produced < count) {
+            if (byte_ >= bytes_.size()) {
+                overrun_ = true;
+                return value;
+            }
+            const int avail = 8 - bit_;
+            const int take = (count - produced) < avail
+                                 ? (count - produced)
+                                 : avail;
+            const std::uint64_t chunk =
+                (static_cast<std::uint64_t>(bytes_[byte_]) >> bit_) &
+                ((std::uint64_t{1} << take) - 1);
+            value |= chunk << produced;
+            produced += take;
+            bit_ += take;
+            if (bit_ == 8) {
+                bit_ = 0;
+                ++byte_;
+            }
+        }
+        return value;
+    }
+
+    void
+    alignToByte()
+    {
+        if (bit_ != 0) {
+            bit_ = 0;
+            ++byte_;
+        }
+    }
+
+    std::uint64_t
+    readVarint()
+    {
+        std::uint64_t value = 0;
+        int shift = 0;
+        for (;;) {
+            const std::uint64_t byte = readBits(8);
+            if (overrun_)
+                return value;
+            value |= (byte & 0x7f) << shift;
+            if (!(byte & 0x80))
+                return value;
+            shift += 7;
+            if (shift >= 64) {
+                overrun_ = true;
+                return value;
+            }
+        }
+    }
+
+    bool overrun() const { return overrun_; }
+    std::size_t byteOffset() const { return byte_; }
+
+  private:
+    const std::vector<std::uint8_t> &bytes_;
+    std::size_t byte_ = 0;
+    int bit_ = 0;
+    bool overrun_ = false;
+};
+
+/** A value with a random magnitude, so every width gets traffic. */
+std::uint64_t
+randomMagnitude(Rng &rng)
+{
+    return rng() >> rng.bounded(64);
+}
+
+TEST(BitWriterDifferential, RandomSequencesMatchReference)
+{
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        Rng rng(seed);
+        BitWriter writer;
+        RefWriter ref;
+        const int ops = static_cast<int>(rng.bounded(300));
+        for (int op = 0; op < ops; ++op) {
+            switch (rng.bounded(6)) {
+              case 0:
+              case 1: {
+                  // Unmasked values, so the high-bit masking runs.
+                  const std::uint64_t value = rng();
+                  const int width = static_cast<int>(rng.bounded(65));
+                  writer.writeBits(value, width);
+                  ref.writeBits(value, width);
+                  break;
+              }
+              case 2: {
+                  const std::uint64_t value = randomMagnitude(rng);
+                  writer.writeVarint(value);
+                  ref.writeVarint(value);
+                  break;
+              }
+              case 3: {
+                  // ~x, not -x: negating INT64_MIN overflows.
+                  const auto value =
+                      static_cast<std::int64_t>(randomMagnitude(rng));
+                  const std::int64_t signed_value =
+                      rng.bounded(2) ? value : ~value;
+                  writer.writeSignedVarint(signed_value);
+                  ref.writeSignedVarint(signed_value);
+                  break;
+              }
+              case 4:
+                writer.alignToByte();
+                ref.alignToByte();
+                break;
+              default: {
+                  std::vector<std::uint8_t> data(rng.bounded(13));
+                  for (auto &byte : data)
+                      byte = static_cast<std::uint8_t>(rng());
+                  writer.writeBytes(data.data(), data.size());
+                  ref.writeBytes(data.data(), data.size());
+                  break;
+              }
+            }
+        }
+        ref.alignToByte();
+        ASSERT_EQ(writer.take(), ref.bytes()) << "seed " << seed;
+    }
+}
+
+/** Both readers are at the same offset with the same flag. */
+::testing::AssertionResult
+sameState(const BitReader &reader, const RefReader &ref)
+{
+    if (reader.byteOffset() == ref.byteOffset() &&
+        reader.overrun() == ref.overrun())
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "byteOffset " << reader.byteOffset() << " vs "
+           << ref.byteOffset() << ", overrun " << reader.overrun()
+           << " vs " << ref.overrun();
+}
+
+TEST(BitReaderDifferential, RandomSequencesMatchReference)
+{
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        Rng rng(seed);
+        std::vector<std::uint8_t> bytes(rng.bounded(41));
+        for (auto &byte : bytes)
+            byte = static_cast<std::uint8_t>(rng());
+        BitReader reader(bytes);
+        RefReader ref(bytes);
+        // Keep reading past the end: the overrun flag and the
+        // partial values must match there too.
+        for (int op = 0; op < 80; ++op) {
+            const std::uint64_t kind = rng.bounded(6);
+            if (kind <= 1) {
+                // Half of these are 57-64 bits wide, past the word
+                // path's 56-bit limit.
+                const int width =
+                    kind == 0 ? static_cast<int>(rng.bounded(57))
+                              : 57 + static_cast<int>(rng.bounded(8));
+                ASSERT_EQ(reader.readBits(width), ref.readBits(width))
+                    << "seed " << seed << " op " << op;
+            } else if (kind == 2) {
+                reader.alignToByte();
+                ref.alignToByte();
+            } else if (kind == 3) {
+                ASSERT_EQ(reader.readVarint(), ref.readVarint())
+                    << "seed " << seed << " op " << op;
+            } else if (kind == 4) {
+                ASSERT_EQ(reader.readSignedVarint(),
+                          zigzagDecode(ref.readVarint()))
+                    << "seed " << seed << " op " << op;
+            } else {
+                // skipBytes(n) on an aligned reader is n byte reads.
+                reader.alignToByte();
+                ref.alignToByte();
+                const std::size_t n = rng.bounded(12);
+                reader.skipBytes(n);
+                for (std::size_t k = 0; k < n; ++k)
+                    ref.readBits(8);
+            }
+            ASSERT_TRUE(sameState(reader, ref))
+                << "seed " << seed << " op " << op;
+        }
+    }
+}
+
+TEST(BitReaderDifferential, EveryReadNearTheEndMatchesReference)
+{
+    Rng rng(99);
+    for (std::size_t size = 0; size <= 40; ++size) {
+        std::vector<std::uint8_t> bytes(size);
+        for (auto &byte : bytes)
+            byte = static_cast<std::uint8_t>(rng());
+        const std::size_t end_bit = size * 8;
+        // Every bit offset from 9 bytes before the end (so the last
+        // word-path read is covered) through the end itself.
+        const std::size_t first = end_bit > 72 ? end_bit - 72 : 0;
+        for (std::size_t start = first; start <= end_bit; ++start) {
+            for (int width = 0; width <= 64; ++width) {
+                BitReader reader(bytes);
+                RefReader ref(bytes);
+                for (std::size_t k = 0; k < start / 8; ++k) {
+                    reader.readBits(8);
+                    ref.readBits(8);
+                }
+                const int bit = static_cast<int>(start % 8);
+                reader.readBits(bit);
+                ref.readBits(bit);
+                const auto where = ::testing::Message()
+                                   << "size " << size << " start "
+                                   << start << " width " << width;
+                ASSERT_EQ(reader.readBits(width), ref.readBits(width))
+                    << where;
+                ASSERT_TRUE(sameState(reader, ref)) << where;
+                // A second read shows the flag and position stick.
+                ASSERT_EQ(reader.readBits(width), ref.readBits(width))
+                    << where;
+                ASSERT_TRUE(sameState(reader, ref)) << where;
+            }
+        }
+    }
+}
 
 }  // namespace
 }  // namespace edgepcc

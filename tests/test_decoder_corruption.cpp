@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -83,8 +84,7 @@ TEST(CorruptBitstream, BitReaderSurvivesSweeps)
         writer.writeSignedVarint(static_cast<std::int64_t>(rng()));
         writer.writeBits(rng() & 0x1f, 5);
     }
-    writer.alignToByte();
-    const std::vector<std::uint8_t> payload = writer.bytes();
+    const std::vector<std::uint8_t> payload = writer.take();
 
     const DecodeFn decode =
         [](const std::vector<std::uint8_t> &bytes) {
@@ -391,6 +391,34 @@ TEST(CorruptBitstream, GeometryDecoderRejectsEmptyAndGarbage)
     for (auto &byte : garbage)
         byte = static_cast<std::uint8_t>(rng());
     EXPECT_FALSE(decode(garbage).isOk());
+}
+
+TEST(CorruptBitstream, GeometryLevelWiderThanVoxelCountRejected)
+{
+    // A plain payload claiming 1 voxel at depth 10 whose levels 0-6
+    // are all 0xFF (~300 KB). Level 7 alone would be 2^21 nodes, so
+    // the expansion must reject level 1 (8 nodes) before building
+    // it, not fail on underflow after materialising level 7.
+    constexpr int kFullLevels = 7;
+    std::size_t occupancy_size = 0;
+    for (int level = 0; level < kFullLevels; ++level)
+        occupancy_size += std::size_t{1} << (3 * level);
+    const std::vector<std::uint8_t> occupancy(occupancy_size, 0xFF);
+    for (const bool parallel : {true, false}) {
+        SCOPED_TRACE(parallel ? "breadth-first" : "depth-first");
+        BitWriter writer;
+        writeMagic(writer, "GEO");
+        writer.writeBits(parallel ? 1u : 0u, 8);  // BFS builder flag
+        writer.writeVarint(10);                   // depth
+        writer.writeVarint(1);                    // voxels
+        writer.writeVarint(occupancy_size);
+        writer.writeBytes(occupancy.data(), occupancy.size());
+        const auto status = decodeGeometry(writer.take()).status();
+        EXPECT_EQ(status.code(), StatusCode::kCorruptBitstream);
+        EXPECT_NE(status.message().find("than the voxel bound"),
+                  std::string::npos)
+            << status.message();
+    }
 }
 
 // -----------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "edgepcc/common/rng.h"
@@ -165,6 +166,28 @@ TEST(SegmentCodec, SingleValue)
     auto decoded = decodeSegmentAttr(*payload);
     ASSERT_TRUE(decoded.hasValue());
     EXPECT_EQ(*decoded, channels);
+}
+
+TEST(SegmentCodec, Int32ExtremesRoundtripLosslessly)
+{
+    // The residuals against the mid-range of INT32_MIN and INT32_MAX
+    // need 33 bits; the encoder must compute them without signed
+    // overflow (the asan+ubsan preset traps one).
+    AttrChannels channels;
+    channels[0] = {INT32_MIN, 0, INT32_MAX};
+    channels[1] = {INT32_MAX, INT32_MIN, -1};
+    channels[2] = {0, INT32_MAX, INT32_MIN};
+    for (const bool two_layer : {true, false}) {
+        SegmentCodecConfig config;
+        config.quant_step = 1;
+        config.num_segments = 1;
+        config.two_layer = two_layer;
+        auto payload = encodeSegmentAttr(channels, config);
+        ASSERT_TRUE(payload.hasValue());
+        auto decoded = decodeSegmentAttr(*payload);
+        ASSERT_TRUE(decoded.hasValue());
+        EXPECT_EQ(*decoded, channels) << "two_layer " << two_layer;
+    }
 }
 
 TEST(SegmentCodec, SmoothDataBeatsRawSize)

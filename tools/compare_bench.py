@@ -11,9 +11,11 @@ Exit codes: 0 = no regression, 1 = regression detected,
 
 Latency comparisons default to the *modelled* Jetson seconds
 (deterministic: derived from recorded ops/bytes, immune to CI host
-noise). Pass --host to additionally gate on measured host p50s when
-comparing runs from the same machine. Compression ratio and PSNR are
-always compared. See docs/OBSERVABILITY.md for the JSON schema.
+noise). Pass --host to additionally gate on measured host p50s (the
+end-to-end host latencies and the kernel micro-bench rows) when
+comparing runs from the same machine; without it the kernel rows are
+reported only. Compression ratio and PSNR are always compared. See
+docs/OBSERVABILITY.md for the JSON schema.
 """
 
 import argparse
@@ -59,10 +61,10 @@ def compare(old, new, latency_tol, ratio_tol, check_host):
     regressions = []
     lines = []
 
-    def check_latency(label, old_val, new_val):
+    def check_latency(label, old_val, new_val, gate=True):
         change = rel_change(old_val, new_val)
-        mark = ""
-        if old_val > 0 and change > latency_tol:
+        mark = "" if gate else "  (host, reported only)"
+        if gate and old_val > 0 and change > latency_tol:
             mark = "  << REGRESSION"
             regressions.append(
                 f"{label}: {old_val:.6g}s -> {new_val:.6g}s "
@@ -113,9 +115,12 @@ def compare(old, new, latency_tol, ratio_tol, check_host):
         )
 
     # SIMD kernel micro-bench (host ns/point, see
-    # docs/PERFORMANCE.md). Host-measured, so only gated when both
-    # runs dispatched on the same ISA — a changed simd_level is a
-    # different experiment (reported, not gated).
+    # docs/PERFORMANCE.md). Host wall-clock, so gated only under
+    # --host, for A/B runs on one machine: two runs of one binary on
+    # an idle host differed by up to 15% on a row. Without --host the
+    # rows are reported; the kernel gate that holds across runners is
+    # bench-smoke's same-process speedup_vs_scalar floors. A changed
+    # simd_level is a different experiment (reported, not gated).
     old_kernels = old.get("kernels", {})
     new_kernels = new.get("kernels", {})
     if old_kernels and new_kernels:
@@ -142,6 +147,7 @@ def compare(old, new, latency_tol, ratio_tol, check_host):
                     f"kernel {item['name']} p50 ns/pt",
                     ref["p50_ns_per_point"],
                     item["p50_ns_per_point"],
+                    gate=check_host,
                 )
     elif new_kernels:
         lines.append("  kernels: new (no baseline)")
@@ -401,23 +407,29 @@ def self_test():
 
     kernel_slow = copy.deepcopy(base)
     kernel_slow["kernels"]["items"][0]["p50_ns_per_point"] *= 1.20
-    found, _ = compare(base, kernel_slow, 0.10, 0.02, False)
-    assert found, "20% kernel p50 slowdown must be flagged"
+    found, _ = compare(base, kernel_slow, 0.10, 0.02, True)
+    assert found, "20% kernel p50 slowdown must be flagged under --host"
+    found, report = compare(base, kernel_slow, 0.10, 0.02, False)
+    assert not found, "host-timed kernel rows are not gated by default"
+    assert any(
+        "kernel morton.encode" in line and "reported only" in line
+        for line in report
+    ), "the slowed kernel row must still be reported"
 
     kernel_within = copy.deepcopy(base)
     kernel_within["kernels"]["items"][0][
         "p50_ns_per_point"] *= 1.05
-    found, _ = compare(base, kernel_within, 0.10, 0.02, False)
+    found, _ = compare(base, kernel_within, 0.10, 0.02, True)
     assert not found, "5% kernel slowdown is within the tolerance"
 
     level_changed = copy.deepcopy(kernel_slow)
     level_changed["kernels"]["simd_level"] = "scalar"
-    found, _ = compare(base, level_changed, 0.10, 0.02, False)
+    found, _ = compare(base, level_changed, 0.10, 0.02, True)
     assert not found, "changed simd_level is reported, not gated"
 
     no_kernels = copy.deepcopy(base)
     del no_kernels["kernels"]
-    found, _ = compare(no_kernels, base, 0.10, 0.02, False)
+    found, _ = compare(no_kernels, base, 0.10, 0.02, True)
     assert not found, "kernels without a baseline are not gated"
 
     e2e_slow = copy.deepcopy(base)
