@@ -1,5 +1,7 @@
 #include "edgepcc/serve/fault_injector.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -26,6 +28,34 @@ Status
 parseError(const std::string &detail)
 {
     return invalidArgument("DeviceFaultSpec::parse: " + detail);
+}
+
+/** Reads the value of @p pair ("key=value") as a finite double
+ *  (strtod syntax). NaN and infinity are refused: every comparison
+ *  with NaN is false, so it would slip past the range checks. */
+Status
+parseFinite(const std::string &pair, const std::string &value,
+            double *out)
+{
+    char *end = nullptr;
+    const double num = std::strtod(value.c_str(), &end);
+    if (end == value.c_str() || *end != '\0' || !std::isfinite(num))
+        return parseError("'" + pair + "' needs a finite number");
+    *out = num;
+    return Status::ok();
+}
+
+/** Reads the value of @p pair as a whole decimal that fits an int:
+ *  no fraction or exponent (a double outside int's range has no
+ *  defined conversion to it). The caller rejects negatives. */
+Status
+parseWhole(const std::string &pair, const std::string &value, int *out)
+{
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+    if (ec != std::errc() || ptr != end)
+        return parseError("'" + pair + "' needs a whole number");
+    return Status::ok();
 }
 
 }  // namespace
@@ -132,21 +162,22 @@ DeviceFaultSpec::parse(const std::string &text)
                 }
                 continue;
             }
-            char *end = nullptr;
-            const double num = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0')
-                return parseError("bad number in '" + pair + "'");
+            Status parsed;
+            double ms = 0.0;
             if (key == "replica") {
-                event.replica = static_cast<int>(num);
+                parsed = parseWhole(pair, value, &event.replica);
             } else if (key == "at-ms") {
-                event.at_s = num / 1e3;
+                parsed = parseFinite(pair, value, &ms);
+                event.at_s = ms / 1e3;
             } else if (key == "dur-ms") {
-                event.duration_s = num / 1e3;
+                parsed = parseFinite(pair, value, &ms);
+                event.duration_s = ms / 1e3;
             } else if (key == "derate") {
-                event.derate = num;
+                parsed = parseFinite(pair, value, &event.derate);
             } else {
                 return parseError("unknown key '" + key + "'");
             }
+            EDGEPCC_RETURN_IF_ERROR(parsed);
             if (field_pos > event_text.size())
                 break;
         }

@@ -1,6 +1,8 @@
 #include "edgepcc/stream/overload_controller.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 
@@ -8,6 +10,41 @@
 #include "edgepcc/common/trace.h"
 
 namespace edgepcc {
+
+namespace {
+
+/** Reads the value of @p pair ("key=value") as a finite double
+ *  (strtod syntax). NaN and infinity are refused: every comparison
+ *  with NaN is false, so it would slip past the range checks. */
+Status
+parseFinite(const std::string &pair, const std::string &value,
+            double *out)
+{
+    char *end = nullptr;
+    const double num = std::strtod(value.c_str(), &end);
+    if (end == value.c_str() || *end != '\0' || !std::isfinite(num))
+        return invalidArgument("LoadSpec::parse: '" + pair +
+                               "' needs a finite number");
+    *out = num;
+    return Status::ok();
+}
+
+/** Reads the value of @p pair as a whole decimal that fits the
+ *  unsigned @p T: no sign, fraction or exponent (a double outside
+ *  T's range has no defined conversion to it). */
+template <typename T>
+Status
+parseWhole(const std::string &pair, const std::string &value, T *out)
+{
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+    if (ec != std::errc() || ptr != end)
+        return invalidArgument("LoadSpec::parse: '" + pair +
+                               "' needs a whole number >= 0");
+    return Status::ok();
+}
+
+}  // namespace
 
 const char *
 overloadRungName(OverloadRung rung)
@@ -151,34 +188,32 @@ LoadSpec::parse(const std::string &text)
             spec.stall_stage = value;
             continue;
         }
-        char *end = nullptr;
-        const double num = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0')
-            return invalidArgument(
-                "LoadSpec::parse: bad number in '" + pair + "'");
+        Status parsed;
         if (key == "slowdown") {
-            spec.slowdown = num;
+            parsed = parseFinite(pair, value, &spec.slowdown);
         } else if (key == "burst-start") {
-            spec.burst_start = static_cast<std::uint32_t>(num);
+            parsed = parseWhole(pair, value, &spec.burst_start);
         } else if (key == "burst-frames") {
-            spec.burst_frames = static_cast<std::uint32_t>(num);
+            parsed = parseWhole(pair, value, &spec.burst_frames);
         } else if (key == "burst-slowdown") {
-            spec.burst_slowdown = num;
+            parsed = parseFinite(pair, value, &spec.burst_slowdown);
         } else if (key == "stall-factor") {
-            spec.stall_factor = num;
+            parsed = parseFinite(pair, value, &spec.stall_factor);
             if (spec.stall_stage.empty())
                 spec.stall_stage = "geom.";
         } else if (key == "alloc-fail") {
-            spec.alloc_failure_frames.push_back(
-                static_cast<std::uint32_t>(num));
+            std::uint32_t frame = 0;
+            parsed = parseWhole(pair, value, &frame);
+            spec.alloc_failure_frames.push_back(frame);
         } else if (key == "jitter") {
-            spec.jitter = num;
+            parsed = parseFinite(pair, value, &spec.jitter);
         } else if (key == "seed") {
-            spec.seed = static_cast<std::uint64_t>(num);
+            parsed = parseWhole(pair, value, &spec.seed);
         } else {
             return invalidArgument(
                 "LoadSpec::parse: unknown key '" + key + "'");
         }
+        EDGEPCC_RETURN_IF_ERROR(parsed);
     }
     if (spec.slowdown <= 0.0 || spec.burst_slowdown <= 0.0 ||
         spec.stall_factor <= 0.0 || spec.jitter < 0.0 ||

@@ -127,6 +127,26 @@ TEST(LoadSpecTest, ParseRejectsMalformedInput)
     EXPECT_FALSE(LoadSpec::parse("slowdown=-2").hasValue());
     EXPECT_FALSE(LoadSpec::parse("jitter=1").hasValue());
     EXPECT_FALSE(LoadSpec::parse("stall-stage=").hasValue());
+
+    // NaN compares false against every bound and an out-of-range
+    // double has no integer value: both must be refused, not cast.
+    std::vector<std::string> bad;
+    for (const char *key :
+         {"slowdown", "burst-slowdown", "stall-factor", "jitter"}) {
+        for (const char *value : {"nan", "inf"})
+            bad.push_back(std::string(key) + "=" + value);
+    }
+    for (const char *key :
+         {"burst-start", "burst-frames", "alloc-fail", "seed"}) {
+        for (const char *value : {"-1", "1.5", "1e20"})
+            bad.push_back(std::string(key) + "=" + value);
+    }
+    for (const std::string &text : bad) {
+        const auto spec = LoadSpec::parse(text);
+        EXPECT_FALSE(spec.hasValue()) << text;
+        EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument)
+            << text;
+    }
 }
 
 TEST(LoadSpecTest, FactorAppliesBurstAndStallPrefix)

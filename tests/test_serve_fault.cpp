@@ -240,6 +240,23 @@ TEST(DeviceFaultSpecTest, RejectsMalformedSpecs)
     EXPECT_FALSE(
         DeviceFaultSpec::parse("kind=throttle,dur-ms=4,derate=-1")
             .hasValue());
+
+    // NaN compares false against every bound and an out-of-range
+    // double has no integer value: both must be refused, not cast.
+    std::vector<std::string> bad;
+    for (const char *key : {"at-ms", "dur-ms", "derate"}) {
+        for (const char *value : {"nan", "inf"})
+            bad.push_back(std::string("kind=throttle,dur-ms=4,") +
+                          key + "=" + value);
+    }
+    for (const char *value : {"-1", "1.5", "1e20"})
+        bad.push_back(std::string("kind=crash,replica=") + value);
+    for (const std::string &text : bad) {
+        const auto spec = DeviceFaultSpec::parse(text);
+        EXPECT_FALSE(spec.hasValue()) << text;
+        EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument)
+            << text;
+    }
 }
 
 // -----------------------------------------------------------------

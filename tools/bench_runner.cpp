@@ -5,10 +5,12 @@
  * Runs a fixed synthetic-human workload through one codec
  * configuration and emits a machine-readable BENCH_results.json:
  * per-stage latency percentiles (measured host + modelled Jetson),
- * end-to-end fps, compressed bytes/point, and PSNR. Every perf PR
- * records its trajectory by diffing two such files with
- * tools/compare_bench.py (see docs/OBSERVABILITY.md for the
- * schema).
+ * end-to-end fps, compressed bytes/point, and PSNR.
+ * tools/compare_bench.py requires two such files to agree on every
+ * deterministic leaf; the tier-1 test bench_runner.trajectory_pinned
+ * holds one run with every section on to the latest
+ * results/bench/BENCH_*.json (docs/OBSERVABILITY.md has the
+ * schema and the rule).
  *
  * Each run below returns its own section of the document, built
  * once from the report the library hands back; main appends the
@@ -862,8 +864,7 @@ runOverload(const Options &opts,
 }
 
 /** The fleet's device-fault recovery; present on every serve run so
- *  compare_bench.py can gate fault runs and confirm clean runs
- *  stayed clean. */
+ *  a clean run shows zero crashes rather than a missing section. */
 Json
 recoverySection(const serve::ServeReport &report,
                 const serve::DeviceFaultSpec &faults)
