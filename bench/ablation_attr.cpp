@@ -46,12 +46,13 @@ main()
     segment.geometry = raht.geometry;
 
     for (const CodecConfig &config : {raht, predicting, segment}) {
-        const bench::VideoRunResult r =
-            bench::runVideo(spec, config, 1, model);
+        const auto r = bench::runVideo(spec, config, 1, model);
+        if (!r)
+            return bench::fail(r.status());
         (void)std::printf("%-26s %12.1f %12.4f %12.1f\n",
                     config.name.c_str(),
-                    r.enc_attr_model_s * 1e3, r.attr_mb,
-                    r.attr_psnr_db);
+                    r->modelled.enc_attr_s * 1e3, r->attr_mb,
+                    r->attr_psnr_db);
     }
     bench::printRule(68);
     (void)std::printf("\nExpected shape: the sequential transforms "

@@ -30,8 +30,10 @@ main()
     bench::printRule(78);
 
     // TMC13's compressed size is the reference point.
-    const bench::VideoRunResult tmc13 = bench::runVideo(
-        spec, makeTmc13LikeConfig(), frames, model);
+    const auto tmc13 =
+        bench::runVideo(spec, makeTmc13LikeConfig(), frames, model);
+    if (!tmc13)
+        return bench::fail(tmc13.status());
 
     CodecConfig with_context = makeIntraOnlyConfig();
     with_context.name = "Intra (contextual AC)";
@@ -45,14 +47,15 @@ main()
     for (const CodecConfig &config :
          {makeTmc13LikeConfig(), with_context, with_entropy,
           without_entropy}) {
-        const bench::VideoRunResult r =
-            bench::runVideo(spec, config, frames, model);
+        const auto r = bench::runVideo(spec, config, frames, model);
+        if (!r)
+            return bench::fail(r.status());
         (void)std::printf("%-26s %11.1f %11.4f %11.4f %12.2fx\n",
                     config.name.c_str(),
-                    r.enc_geom_model_s * 1e3, r.geometry_mb,
-                    r.compressed_mb,
-                    tmc13.compressed_mb > 0.0
-                        ? r.compressed_mb / tmc13.compressed_mb
+                    r->modelled.enc_geom_s * 1e3, r->geometry_mb,
+                    r->compressed_mb,
+                    tmc13->compressed_mb > 0.0
+                        ? r->compressed_mb / tmc13->compressed_mb
                         : 0.0);
     }
     bench::printRule(78);

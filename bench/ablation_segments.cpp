@@ -39,12 +39,13 @@ main()
         config.name = "sweep";
         config.segment.num_segments = static_cast<std::uint32_t>(
             static_cast<double>(points) / per_block);
-        const bench::VideoRunResult r =
-            bench::runVideo(spec, config, 1, model);
+        const auto r = bench::runVideo(spec, config, 1, model);
+        if (!r)
+            return bench::fail(r.status());
         (void)std::printf("%12u %12.0f %12.4f %14.1f %12.1f\n",
                     config.segment.num_segments, per_block,
-                    r.attr_mb, r.enc_attr_model_s * 1e3,
-                    r.attr_psnr_db);
+                    r->attr_mb, r->modelled.enc_attr_s * 1e3,
+                    r->attr_psnr_db);
     }
     bench::printRule(68);
     (void)std::printf("\nPaper design point: 30000 blocks per ~727k-pt "

@@ -1,7 +1,7 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <cstdio>
 #include <map>
 
@@ -10,6 +10,17 @@
 #include "edgepcc/metrics/quality.h"
 
 namespace edgepcc::bench {
+
+namespace {
+
+/** PSNR of a mean squared error; 99.9 dB stands for lossless. */
+double
+psnrOf(double mse, double peak)
+{
+    return mse > 0.0 ? 10.0 * std::log10(peak * peak / mse) : 99.9;
+}
+
+}  // namespace
 
 double
 defaultScale()
@@ -43,87 +54,90 @@ framesFor(const VideoSpec &spec, int num_frames)
     return cache.emplace(key, std::move(frames)).first->second;
 }
 
-VideoRunResult
+ModelledCost
+priceRun(const VideoRunResult &run, const EdgeDeviceModel &model)
+{
+    ModelledCost cost;
+    for (const PipelineProfile &profile : run.enc_profiles) {
+        const PipelineTiming timing = model.evaluate(profile);
+        const double geom = timing.modelSecondsWithPrefix("geom.");
+        cost.enc_s += timing.modelSeconds();
+        cost.enc_geom_s += geom;
+        cost.enc_attr_s += timing.modelSeconds() - geom;
+        cost.enc_j += timing.joules();
+    }
+    for (const PipelineProfile &profile : run.dec_profiles)
+        cost.dec_s += model.evaluate(profile).modelSeconds();
+
+    const double inv = 1.0 / static_cast<double>(std::max<std::size_t>(
+                                 1, run.enc_profiles.size()));
+    cost.enc_s *= inv;
+    cost.enc_geom_s *= inv;
+    cost.enc_attr_s *= inv;
+    cost.dec_s *= inv;
+    cost.enc_j *= inv;
+    return cost;
+}
+
+Expected<VideoRunResult>
 runVideo(const VideoSpec &spec, const CodecConfig &config,
          int num_frames, const EdgeDeviceModel &model)
 {
     VideoRunResult result;
     result.video = spec.name;
     result.config = config.name;
-    result.frames = num_frames;
+    const auto failed = [&](const char *step, const Status &status) {
+        return Status(status.code(),
+                      std::string(step) + " failed (" + spec.name +
+                          "/" + config.name +
+                          "): " + status.message());
+    };
 
-    const std::vector<VoxelCloud> &frames =
-        framesFor(spec, num_frames);
     VideoEncoder encoder(config);
     VideoDecoder decoder;
+    // Averaging MSE (not PSNR) keeps multi-frame averages defined
+    // even when single frames are lossless.
+    double attr_mse = 0.0;
+    double geom_mse = 0.0;
+    int p_frames = 0;
 
-    for (int f = 0; f < num_frames; ++f) {
-        const VoxelCloud &frame = frames[static_cast<std::size_t>(f)];
-
+    for (const VoxelCloud &frame : framesFor(spec, num_frames)) {
         WallTimer enc_timer;
         auto encoded = encoder.encode(frame);
         const double enc_host = enc_timer.seconds();
-        if (!encoded) {
-            (void)std::fprintf(stderr, "encode failed (%s/%s): %s\n",
-                         spec.name.c_str(), config.name.c_str(),
-                         encoded.status().toString().c_str());
-            return result;
-        }
+        if (!encoded)
+            return failed("encode", encoded.status());
 
         WallTimer dec_timer;
         auto decoded = decoder.decode(encoded->bitstream);
         const double dec_host = dec_timer.seconds();
-        if (!decoded) {
-            (void)std::fprintf(stderr, "decode failed (%s/%s): %s\n",
-                         spec.name.c_str(), config.name.c_str(),
-                         decoded.status().toString().c_str());
-            return result;
-        }
+        if (!decoded)
+            return failed("decode", decoded.status());
 
-        const PipelineTiming enc_timing =
-            model.evaluate(encoded->profile);
-        const PipelineTiming dec_timing =
-            model.evaluate(decoded->profile);
-
-        result.enc_model_s += enc_timing.modelSeconds();
-        result.enc_geom_model_s +=
-            enc_timing.modelSecondsWithPrefix("geom.");
-        result.enc_attr_model_s +=
-            enc_timing.modelSeconds() -
-            enc_timing.modelSecondsWithPrefix("geom.");
-        result.dec_model_s += dec_timing.modelSeconds();
+        result.enc_profiles.push_back(std::move(encoded->profile));
+        result.dec_profiles.push_back(std::move(decoded->profile));
         result.enc_host_s += enc_host;
         result.dec_host_s += dec_host;
-        result.enc_energy_j += enc_timing.joules();
 
-        result.raw_mb += static_cast<double>(
-                             encoded->stats.raw_bytes) /
-                         1e6;
+        const FrameStats &stats = encoded->stats;
+        result.raw_mb += static_cast<double>(stats.raw_bytes) / 1e6;
         result.compressed_mb +=
-            static_cast<double>(encoded->stats.total_bytes) / 1e6;
+            static_cast<double>(stats.total_bytes) / 1e6;
         result.geometry_mb +=
-            static_cast<double>(encoded->stats.geometry_bytes) /
-            1e6;
-        result.attr_mb +=
-            static_cast<double>(encoded->stats.attr_bytes) / 1e6;
+            static_cast<double>(stats.geometry_bytes) / 1e6;
+        result.attr_mb += static_cast<double>(stats.attr_bytes) / 1e6;
 
-        // Accumulate MSE (not PSNR) so multi-frame averages are
-        // well-defined even when single frames are lossless.
-        const AttrQuality attr =
-            attributePsnr(frame, decoded->cloud);
-        const GeometryQuality geom =
-            geometryPsnrD1(frame, decoded->cloud);
-        result.attr_psnr_db += attr.mse;   // repurposed: MSE sum
-        result.geom_psnr_db += geom.mse;   // converted below
+        attr_mse += attributePsnr(frame, decoded->cloud).mse;
+        geom_mse += geometryPsnrD1(frame, decoded->cloud).mse;
 
-        if (encoded->stats.type == Frame::Type::kPredicted) {
-            ++result.p_frames;
+        if (stats.type == Frame::Type::kPredicted) {
+            ++p_frames;
             if (config.inter_mode == InterMode::kBlockMatch) {
                 result.reuse_fraction +=
-                    encoded->stats.block_match.reuseFraction();
+                    stats.block_match.reuseFraction();
             } else if (config.inter_mode ==
                        InterMode::kMacroBlock) {
-                const auto &mb = encoded->stats.macro_block;
+                const auto &mb = stats.macro_block;
                 result.reuse_fraction +=
                     mb.p_blocks > 0
                         ? static_cast<double>(mb.reused_blocks) /
@@ -135,39 +149,25 @@ runVideo(const VideoSpec &spec, const CodecConfig &config,
 
     const double inv =
         1.0 / static_cast<double>(std::max(1, num_frames));
-    result.enc_model_s *= inv;
-    result.enc_geom_model_s *= inv;
-    result.enc_attr_model_s *= inv;
-    result.dec_model_s *= inv;
     result.enc_host_s *= inv;
     result.dec_host_s *= inv;
-    result.enc_energy_j *= inv;
     result.raw_mb *= inv;
     result.compressed_mb *= inv;
     result.geometry_mb *= inv;
     result.attr_mb *= inv;
-    const double attr_mse = result.attr_psnr_db * inv;
-    const double geom_mse = result.geom_psnr_db * inv;
-    result.attr_psnr_db = printablePsnr(
-        attr_mse > 0.0
-            ? 10.0 * std::log10(255.0 * 255.0 / attr_mse)
-            : std::numeric_limits<double>::infinity());
-    const double geom_peak = 1023.0;
-    result.geom_psnr_db = printablePsnr(
-        geom_mse > 0.0
-            ? 10.0 * std::log10(geom_peak * geom_peak / geom_mse)
-            : std::numeric_limits<double>::infinity());
-    if (result.p_frames > 0) {
-        result.reuse_fraction /=
-            static_cast<double>(result.p_frames);
-    }
+    result.attr_psnr_db = psnrOf(attr_mse * inv, 255.0);
+    result.geom_psnr_db = psnrOf(geom_mse * inv, 1023.0);
+    if (p_frames > 0)
+        result.reuse_fraction /= static_cast<double>(p_frames);
+    result.modelled = priceRun(result, model);
     return result;
 }
 
-double
-printablePsnr(double psnr)
+int
+fail(const Status &status)
 {
-    return std::isfinite(psnr) ? psnr : 99.9;
+    (void)std::fprintf(stderr, "%s\n", status.toString().c_str());
+    return 1;
 }
 
 void

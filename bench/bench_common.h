@@ -1,9 +1,10 @@
 /**
  * @file
  * Shared driver for the paper-reproduction benches: runs one codec
- * configuration over one synthetic video and aggregates the metrics
- * every figure/table needs (modelled Jetson latency & energy, host
- * wall-clock, compressed sizes, PSNR, reuse statistics).
+ * configuration over one synthetic video, keeps every frame's
+ * recorded work, and aggregates the metrics every figure/table
+ * needs (modelled Jetson latency & energy, host wall-clock,
+ * compressed sizes, PSNR, reuse statistics).
  *
  * Workload size is controlled by EDGEPCC_SCALE (fraction of the
  * paper's per-frame point counts, default 0.12) and EDGEPCC_FRAMES
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "edgepcc/common/status.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/catalogue.h"
 #include "edgepcc/platform/device_model.h"
@@ -31,24 +33,37 @@ int defaultFrames();
 const std::vector<VoxelCloud> &framesFor(const VideoSpec &spec,
                                          int num_frames);
 
+/** Modelled Jetson costs of one run, averaged per frame. */
+struct ModelledCost {
+    double enc_s = 0.0;
+    double enc_geom_s = 0.0;  ///< encode stages named `geom.*`
+    double enc_attr_s = 0.0;  ///< every other encode stage
+    double dec_s = 0.0;
+    double enc_j = 0.0;
+
+    /** Average encode power draw in watts. */
+    double
+    encWatts() const
+    {
+        return enc_s > 0.0 ? enc_j / enc_s : 0.0;
+    }
+};
+
 /** Aggregated result of encoding+decoding one video. */
 struct VideoRunResult {
     std::string video;
     std::string config;
-    int frames = 0;
 
-    // Modelled Jetson latency, averaged per frame (seconds).
-    double enc_model_s = 0.0;
-    double enc_geom_model_s = 0.0;
-    double enc_attr_model_s = 0.0;
-    double dec_model_s = 0.0;
+    /** Each frame's recorded encode and decode work, in order. */
+    std::vector<PipelineProfile> enc_profiles;
+    std::vector<PipelineProfile> dec_profiles;
+
+    /** The profiles priced on the model runVideo was given. */
+    ModelledCost modelled;
 
     // Host wall-clock per frame (seconds).
     double enc_host_s = 0.0;
     double dec_host_s = 0.0;
-
-    // Modelled energy per frame (joules).
-    double enc_energy_j = 0.0;
 
     // Sizes per frame.
     double raw_mb = 0.0;
@@ -60,9 +75,8 @@ struct VideoRunResult {
     double attr_psnr_db = 0.0;
     double geom_psnr_db = 0.0;
 
-    // Inter statistics (averaged over P frames; 0 when intra).
+    // Reuse fraction, averaged over P frames (0 when intra).
     double reuse_fraction = 0.0;
-    int p_frames = 0;
 
     double
     compressionRatio() const
@@ -71,16 +85,22 @@ struct VideoRunResult {
     }
 };
 
-/**
- * Encodes `frames` frames of `spec` with `config`, decodes them,
- * and aggregates metrics under `model`.
- */
-VideoRunResult runVideo(const VideoSpec &spec,
-                        const CodecConfig &config, int num_frames,
-                        const EdgeDeviceModel &model);
+/** Prices a run's stored profiles on `model`. */
+ModelledCost priceRun(const VideoRunResult &run,
+                      const EdgeDeviceModel &model);
 
-/** Caps infinite PSNR values for table printing. */
-double printablePsnr(double psnr);
+/**
+ * Encodes `num_frames` frames of `spec` with `config`, decodes them,
+ * and aggregates metrics priced on `model`. A failed encode or
+ * decode returns its status, naming the video and design.
+ */
+Expected<VideoRunResult> runVideo(const VideoSpec &spec,
+                                  const CodecConfig &config,
+                                  int num_frames,
+                                  const EdgeDeviceModel &model);
+
+/** Prints a failed run's status; returns main's exit code 1. */
+int fail(const Status &status);
 
 /** Prints a horizontal rule sized to `width`. */
 void printRule(int width);

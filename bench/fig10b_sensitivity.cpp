@@ -33,21 +33,19 @@ main()
 
     // Thresholds are per-point mean squared distances; the paper's
     // 300/1200 block thresholds at ~20 pts/block sit at 15/60.
-    double last_ratio = 0.0;
     for (const double threshold :
          {1.0, 4.0, 15.0, 60.0, 150.0, 400.0, 1200.0}) {
         CodecConfig config = makeIntraInterV1Config();
         config.name = "sweep";
         config.block_match.reuse_threshold = threshold;
-        const bench::VideoRunResult r =
-            bench::runVideo(spec, config, frames, model);
+        const auto r = bench::runVideo(spec, config, frames, model);
+        if (!r)
+            return bench::fail(r.status());
         (void)std::printf("%12.0f %12.1f %14.2f %12.1f %12.1f\n",
-                    threshold, 100.0 * r.reuse_fraction,
-                    r.compressionRatio(), r.attr_psnr_db,
-                    r.enc_model_s * 1e3);
-        last_ratio = r.compressionRatio();
+                    threshold, 100.0 * r->reuse_fraction,
+                    r->compressionRatio(), r->attr_psnr_db,
+                    r->modelled.enc_s * 1e3);
     }
-    (void)last_ratio;
     bench::printRule(68);
     (void)std::printf("\nExpected shape (paper): compression ratio "
                 "rises and PSNR falls as the reuse\nfraction "

@@ -10,6 +10,7 @@
 #define EDGEPCC_COMMON_STATUS_H
 
 #include <cassert>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <utility>
@@ -33,6 +34,9 @@ enum class StatusCode {
 
 /** Human-readable name for a StatusCode. */
 const char *statusCodeName(StatusCode code);
+
+/** Writes statusCodeName(code), so test failures print the name. */
+std::ostream &operator<<(std::ostream &os, StatusCode code);
 
 /**
  * Result of a fallible operation: a code plus an optional message.

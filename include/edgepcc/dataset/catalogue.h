@@ -41,11 +41,15 @@ std::vector<VideoSpec> paperVideoSpecs(double scale = 1.0);
 
 /**
  * Reads the workload scale from the EDGEPCC_SCALE environment
- * variable (default `fallback`, clamped to (0, 1]).
+ * variable, clamped to (0, 1]. Unset, or a value that does not
+ * parse in full as a finite number > 0, gives `fallback`.
  */
 double workloadScaleFromEnv(double fallback = 0.15);
 
-/** Frames per video from EDGEPCC_FRAMES (default `fallback`). */
+/**
+ * Frames per video from EDGEPCC_FRAMES. Unset, or a value that
+ * does not parse in full as a positive int, gives `fallback`.
+ */
 int framesFromEnv(int fallback = 3);
 
 }  // namespace edgepcc

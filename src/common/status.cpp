@@ -1,5 +1,7 @@
 #include "edgepcc/common/status.h"
 
+#include <ostream>
+
 namespace edgepcc {
 
 const char *
@@ -19,6 +21,12 @@ statusCodeName(StatusCode code)
       case StatusCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
     }
     return "UNKNOWN";
+}
+
+std::ostream &
+operator<<(std::ostream &os, StatusCode code)
+{
+    return os << statusCodeName(code);
 }
 
 std::string

@@ -1,7 +1,11 @@
 #include "edgepcc/dataset/catalogue.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 
 namespace edgepcc {
 
@@ -47,26 +51,41 @@ paperVideoSpecs(double scale)
     return specs;
 }
 
+namespace {
+
+/** Env var `name` when all of its text reads as one T. */
+template <typename T>
+std::optional<T>
+envValue(const char *name)
+{
+    const char *text = std::getenv(name);
+    if (!text)
+        return std::nullopt;
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return value;
+}
+
+}  // namespace
+
 double
 workloadScaleFromEnv(double fallback)
 {
-    const char *env = std::getenv("EDGEPCC_SCALE");
-    if (!env)
+    const std::optional<double> value =
+        envValue<double>("EDGEPCC_SCALE");
+    if (!value || !std::isfinite(*value) || *value <= 0.0)
         return fallback;
-    const double value = std::atof(env);
-    if (value <= 0.0)
-        return fallback;
-    return std::min(value, 1.0);
+    return std::min(*value, 1.0);
 }
 
 int
 framesFromEnv(int fallback)
 {
-    const char *env = std::getenv("EDGEPCC_FRAMES");
-    if (!env)
-        return fallback;
-    const int value = std::atoi(env);
-    return value > 0 ? value : fallback;
+    const std::optional<int> value = envValue<int>("EDGEPCC_FRAMES");
+    return value && *value > 0 ? *value : fallback;
 }
 
 }  // namespace edgepcc

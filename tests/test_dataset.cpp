@@ -245,14 +245,24 @@ TEST(WorkloadEnv, ScaleParsing)
     EXPECT_DOUBLE_EQ(workloadScaleFromEnv(0.25), 0.5);
     setenv("EDGEPCC_SCALE", "7", 1);  // clamped to 1
     EXPECT_DOUBLE_EQ(workloadScaleFromEnv(0.25), 1.0);
-    setenv("EDGEPCC_SCALE", "bogus", 1);
-    EXPECT_DOUBLE_EQ(workloadScaleFromEnv(0.25), 0.25);
+    // Text that is not, in full, one finite number > 0 falls back.
+    for (const char *bad :
+         {"bogus", "nan", "inf", "0.5junk", "0", "-0.5", ""}) {
+        setenv("EDGEPCC_SCALE", bad, 1);
+        EXPECT_DOUBLE_EQ(workloadScaleFromEnv(0.25), 0.25) << bad;
+    }
     unsetenv("EDGEPCC_SCALE");
 
     unsetenv("EDGEPCC_FRAMES");
     EXPECT_EQ(framesFromEnv(3), 3);
     setenv("EDGEPCC_FRAMES", "9", 1);
     EXPECT_EQ(framesFromEnv(3), 9);
+    // Text that is not, in full, one positive int falls back.
+    for (const char *bad :
+         {"bogus", "99999999999", "9x", "3.7", "0", "-2", ""}) {
+        setenv("EDGEPCC_FRAMES", bad, 1);
+        EXPECT_EQ(framesFromEnv(5), 5) << bad;
+    }
     unsetenv("EDGEPCC_FRAMES");
 }
 

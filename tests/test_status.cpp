@@ -25,6 +25,12 @@ TEST(Status, ErrorCarriesCodeAndMessage)
     EXPECT_EQ(status.toString(), "INVALID_ARGUMENT: bad input");
 }
 
+TEST(Status, CodePrintsItsName)
+{
+    EXPECT_EQ(::testing::PrintToString(StatusCode::kInvalidArgument),
+              "INVALID_ARGUMENT");
+}
+
 TEST(Status, AllConstructorsMapToTheirCodes)
 {
     EXPECT_EQ(outOfRange("x").code(), StatusCode::kOutOfRange);
