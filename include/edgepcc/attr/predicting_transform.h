@@ -31,6 +31,7 @@
 
 #include "edgepcc/common/status.h"
 #include "edgepcc/common/work_counters.h"
+#include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/geometry/point_cloud.h"
 
 namespace edgepcc {
@@ -56,8 +57,7 @@ Expected<std::vector<std::uint8_t>> encodePredicting(
     WorkRecorder *recorder = nullptr);
 
 /** Decodes predicting-transform attributes into `cloud`. */
-Status decodePredictingInto(const std::vector<std::uint8_t> &payload,
-                            VoxelCloud &cloud,
+Status decodePredictingInto(ByteSpan payload, VoxelCloud &cloud,
                             WorkRecorder *recorder = nullptr);
 
 }  // namespace edgepcc

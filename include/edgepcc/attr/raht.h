@@ -27,6 +27,7 @@
 
 #include "edgepcc/common/status.h"
 #include "edgepcc/common/work_counters.h"
+#include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/geometry/point_cloud.h"
 
 namespace edgepcc {
@@ -53,8 +54,7 @@ Expected<std::vector<std::uint8_t>> encodeRaht(
  * geometry, in sorted order). Fails when the payload's point count
  * disagrees with the cloud.
  */
-Status decodeRahtInto(const std::vector<std::uint8_t> &payload,
-                      VoxelCloud &cloud,
+Status decodeRahtInto(ByteSpan payload, VoxelCloud &cloud,
                       WorkRecorder *recorder = nullptr);
 
 }  // namespace edgepcc

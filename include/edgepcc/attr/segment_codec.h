@@ -26,6 +26,7 @@
 
 #include "edgepcc/common/status.h"
 #include "edgepcc/common/work_counters.h"
+#include "edgepcc/entropy/bitstream.h"
 
 namespace edgepcc {
 
@@ -83,8 +84,7 @@ Expected<std::vector<std::uint8_t>> encodeSegmentAttr(
 
 /** Decodes a segment-codec payload back to three channels. */
 Expected<AttrChannels> decodeSegmentAttr(
-    const std::vector<std::uint8_t> &payload,
-    WorkRecorder *recorder = nullptr);
+    ByteSpan payload, WorkRecorder *recorder = nullptr);
 
 }  // namespace edgepcc
 

@@ -16,11 +16,15 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "edgepcc/common/status.h"
 
 namespace edgepcc {
+
+/** Read-only view of bytes owned elsewhere. */
+using ByteSpan = std::span<const std::uint8_t>;
 
 /** Accumulates bits LSB-first into a byte vector. */
 class BitWriter
@@ -51,6 +55,15 @@ class BitWriter
     /** Appends whole bytes (implies alignToByte()). */
     void writeBytes(const std::uint8_t *data, std::size_t size);
 
+    /** A length-prefixed block: the varint length, then the bytes
+     *  (writeBytes). BitReader::readBlock reads it back. */
+    void
+    writeBlock(ByteSpan bytes)
+    {
+        writeVarint(bytes.size());
+        writeBytes(bytes.data(), bytes.size());
+    }
+
     /** Unsigned LEB128. */
     void writeVarint(std::uint64_t value);
 
@@ -72,13 +85,8 @@ class BitWriter
 class BitReader
 {
   public:
-    BitReader(const std::uint8_t *data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    explicit BitReader(const std::vector<std::uint8_t> &bytes)
-        : BitReader(bytes.data(), bytes.size())
+    explicit BitReader(ByteSpan bytes)
+        : data_(bytes.data()), size_(bytes.size())
     {
     }
 
@@ -111,21 +119,17 @@ class BitReader
     void alignToByte();
 
     /**
-     * Skips `n` whole bytes of a byte-aligned reader; the caller has
-     * checked hasBytes(n). Past the end it clamps and sets the
-     * overrun flag.
+     * The next `n` bytes after a skip to the byte boundary, as a
+     * view into the reader's buffer (valid while that buffer
+     * lives). The bounds test is exact for any `n`, so a hostile
+     * length prefix near 2^64 cannot wrap it. Past the end it
+     * returns an empty view, clamps to the end and sets the overrun
+     * flag.
      */
-    void
-    skipBytes(std::size_t n)
-    {
-        assert(bit_ == 0);
-        if (!hasBytes(n)) {
-            byte_ = size_;
-            overrun_ = true;
-            return;
-        }
-        byte_ += n;
-    }
+    ByteSpan readBytes(std::uint64_t n);
+
+    /** A block written by BitWriter::writeBlock. */
+    ByteSpan readBlock() { return readBytes(readVarint()); }
 
     std::uint64_t readVarint();
     std::int64_t readSignedVarint();
@@ -135,13 +139,6 @@ class BitReader
 
     /** Bytes fully or partially consumed so far. */
     std::size_t byteOffset() const { return byte_; }
-
-    /**
-     * True when `n` more bytes follow byteOffset(). Exact for any
-     * `n`: a length prefix read from hostile bytes near 2^64 cannot
-     * wrap the test the way `byteOffset() + n <= size` does.
-     */
-    bool hasBytes(std::size_t n) const { return n <= size_ - byte_; }
 
     Status
     status() const

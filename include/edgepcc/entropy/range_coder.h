@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "edgepcc/common/status.h"
+#include "edgepcc/entropy/bitstream.h"
 
 namespace edgepcc {
 
@@ -65,12 +66,7 @@ class RangeEncoder
 class RangeDecoder
 {
   public:
-    RangeDecoder(const std::uint8_t *data, std::size_t size);
-
-    explicit RangeDecoder(const std::vector<std::uint8_t> &bytes)
-        : RangeDecoder(bytes.data(), bytes.size())
-    {
-    }
+    explicit RangeDecoder(ByteSpan bytes);
 
     /** The decoder only borrows the buffer; a temporary would
      *  dangle. */
@@ -177,7 +173,7 @@ std::vector<std::uint8_t> entropyCompress(
 /** Inverse of entropyCompress; `output_size` must be known (EdgePCC
  *  streams carry it in their headers). */
 Expected<std::vector<std::uint8_t>> entropyDecompress(
-    const std::vector<std::uint8_t> &input, std::size_t output_size);
+    ByteSpan input, std::size_t output_size);
 
 }  // namespace edgepcc
 

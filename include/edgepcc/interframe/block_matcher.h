@@ -31,6 +31,7 @@
 #include "edgepcc/attr/segment_codec.h"
 #include "edgepcc/common/status.h"
 #include "edgepcc/common/work_counters.h"
+#include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/geometry/point_cloud.h"
 
 namespace edgepcc {
@@ -90,7 +91,7 @@ Expected<InterAttrEncoded> encodeInterAttr(
  * Decodes inter-coded attributes into `p_cloud` (carrying decoded
  * P geometry) using the same reference the encoder used.
  */
-Status decodeInterAttrInto(const std::vector<std::uint8_t> &payload,
+Status decodeInterAttrInto(ByteSpan payload,
                            const VoxelCloud &i_reference,
                            VoxelCloud &p_cloud,
                            WorkRecorder *recorder = nullptr);

@@ -23,6 +23,7 @@
 
 #include "edgepcc/common/status.h"
 #include "edgepcc/common/work_counters.h"
+#include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/geometry/point_cloud.h"
 
 namespace edgepcc {
@@ -70,8 +71,8 @@ Expected<MacroBlockEncoded> encodeMacroBlockAttr(
 
 /** Decodes macro-block coded attributes into `p_cloud`. */
 Status decodeMacroBlockAttrInto(
-    const std::vector<std::uint8_t> &payload,
-    const VoxelCloud &i_reference, VoxelCloud &p_cloud,
+    ByteSpan payload, const VoxelCloud &i_reference,
+    VoxelCloud &p_cloud,
     WorkRecorder *recorder = nullptr);
 
 /**
@@ -82,7 +83,7 @@ std::vector<std::uint8_t> encodeRawEntropyAttr(
     const VoxelCloud &sorted_cloud, WorkRecorder *recorder = nullptr);
 
 Status decodeRawEntropyAttrInto(
-    const std::vector<std::uint8_t> &payload, VoxelCloud &cloud,
+    ByteSpan payload, VoxelCloud &cloud,
     WorkRecorder *recorder = nullptr);
 
 }  // namespace edgepcc

@@ -26,6 +26,7 @@
 
 #include "edgepcc/common/status.h"
 #include "edgepcc/common/work_counters.h"
+#include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/geometry/point_cloud.h"
 #include "edgepcc/morton/morton_order.h"
 
@@ -83,8 +84,7 @@ Expected<GeometryEncoded> encodeGeometry(
  * in the same order as GeometryEncoded::sorted_cloud.
  */
 Expected<VoxelCloud> decodeGeometry(
-    const std::vector<std::uint8_t> &payload,
-    WorkRecorder *recorder = nullptr);
+    ByteSpan payload, WorkRecorder *recorder = nullptr);
 
 }  // namespace edgepcc
 

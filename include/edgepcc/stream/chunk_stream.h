@@ -47,10 +47,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "edgepcc/common/status.h"
+#include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/geometry/point_cloud.h"
 
 namespace edgepcc {
@@ -191,9 +191,6 @@ struct ParsedChunk {
     ChunkHeader header;
     std::vector<std::uint8_t> payload;
 };
-
-/** Read-only view of payload bytes owned elsewhere. */
-using ByteSpan = std::span<const std::uint8_t>;
 
 /**
  * Zero-copy send-side chunk: the payload is a view into the

@@ -217,8 +217,7 @@ encodePredicting(const VoxelCloud &sorted_cloud,
             entropyCompress(raw);
         entropy_in += raw.size();
         writer.writeVarint(raw.size());
-        writer.writeVarint(packed.size());
-        writer.writeBytes(packed.data(), packed.size());
+        writer.writeBlock(packed);
     }
     recordKernel(recorder,
                  KernelWork{.name = "attr.predict_entropy",
@@ -231,8 +230,8 @@ encodePredicting(const VoxelCloud &sorted_cloud,
 }
 
 Status
-decodePredictingInto(const std::vector<std::uint8_t> &payload,
-                     VoxelCloud &cloud, WorkRecorder *recorder)
+decodePredictingInto(ByteSpan payload, VoxelCloud &cloud,
+                     WorkRecorder *recorder)
 {
     const std::size_t n = cloud.size();
     if (n == 0)
@@ -264,18 +263,10 @@ decodePredictingInto(const std::vector<std::uint8_t> &payload,
     for (int c = 0; c < 3; ++c) {
         const std::size_t raw_size =
             static_cast<std::size_t>(reader.readVarint());
-        const std::size_t packed_size =
-            static_cast<std::size_t>(reader.readVarint());
-        reader.alignToByte();
-        if (reader.overrun() || !reader.hasBytes(packed_size))
+        const ByteSpan packed = reader.readBlock();
+        if (reader.overrun())
             return corruptBitstream(
                 "predicting payload: truncated");
-        std::vector<std::uint8_t> packed(
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset()),
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset() +
-                                            packed_size));
         auto raw = entropyDecompress(packed, raw_size);
         if (!raw)
             return raw.status();
@@ -287,7 +278,6 @@ decodePredictingInto(const std::vector<std::uint8_t> &payload,
         if (channel.overrun())
             return corruptBitstream(
                 "predicting payload: residual stream truncated");
-        reader.skipBytes(packed_size);
     }
 
     std::vector<std::array<double, 3>> recon(n);

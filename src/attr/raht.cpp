@@ -208,8 +208,7 @@ encodeRaht(const VoxelCloud &sorted_cloud, const RahtConfig &config,
             entropyCompress(raw);
         entropy_bytes_in += raw.size();
         writer.writeVarint(raw.size());
-        writer.writeVarint(packed.size());
-        writer.writeBytes(packed.data(), packed.size());
+        writer.writeBlock(packed);
     }
     recordKernel(recorder,
                  KernelWork{.name = "attr.raht_entropy",
@@ -223,8 +222,8 @@ encodeRaht(const VoxelCloud &sorted_cloud, const RahtConfig &config,
 }
 
 Status
-decodeRahtInto(const std::vector<std::uint8_t> &payload,
-               VoxelCloud &cloud, WorkRecorder *recorder)
+decodeRahtInto(ByteSpan payload, VoxelCloud &cloud,
+               WorkRecorder *recorder)
 {
     const std::size_t n = cloud.size();
     if (n == 0)
@@ -262,17 +261,9 @@ decodeRahtInto(const std::vector<std::uint8_t> &payload,
     for (int c = 0; c < 3; ++c) {
         const std::size_t raw_size =
             static_cast<std::size_t>(reader.readVarint());
-        const std::size_t packed_size =
-            static_cast<std::size_t>(reader.readVarint());
-        reader.alignToByte();
-        if (reader.overrun() || !reader.hasBytes(packed_size))
+        const ByteSpan packed = reader.readBlock();
+        if (reader.overrun())
             return corruptBitstream("RAHT payload: truncated");
-        std::vector<std::uint8_t> packed(
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset()),
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset() +
-                                            packed_size));
         auto raw = entropyDecompress(packed, raw_size);
         if (!raw)
             return raw.status();
@@ -284,8 +275,6 @@ decodeRahtInto(const std::vector<std::uint8_t> &payload,
         if (channel.overrun())
             return corruptBitstream(
                 "RAHT payload: coefficient stream truncated");
-        // Skip the consumed bytes in the outer reader.
-        reader.skipBytes(packed_size);
     }
 
     // Rebuild the merge schedule from the decoded geometry.

@@ -195,8 +195,7 @@ encodeSegmentAttr(const AttrChannels &channels,
 }
 
 Expected<AttrChannels>
-decodeSegmentAttr(const std::vector<std::uint8_t> &payload,
-                  WorkRecorder *recorder)
+decodeSegmentAttr(ByteSpan payload, WorkRecorder *recorder)
 {
     ScopedStage stage(recorder, "attrdec.segment");
 

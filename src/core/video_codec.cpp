@@ -60,9 +60,7 @@ channelsToColors(const AttrChannels &channels, VoxelCloud &cloud)
 
 std::vector<std::uint8_t>
 assembleContainer(Frame::Type type, AttrKind attr_kind,
-                  int grid_bits,
-                  const std::vector<std::uint8_t> &geometry,
-                  const std::vector<std::uint8_t> &attr)
+                  int grid_bits, ByteSpan geometry, ByteSpan attr)
 {
     BitWriter writer;
     writer.writeBits('E', 8);
@@ -73,23 +71,22 @@ assembleContainer(Frame::Type type, AttrKind attr_kind,
         type == Frame::Type::kPredicted ? 1u : 0u, 8);
     writer.writeBits(static_cast<std::uint8_t>(attr_kind), 8);
     writer.writeBits(static_cast<std::uint64_t>(grid_bits), 8);
-    writer.writeVarint(geometry.size());
-    writer.writeBytes(geometry.data(), geometry.size());
-    writer.writeVarint(attr.size());
-    writer.writeBytes(attr.data(), attr.size());
+    writer.writeBlock(geometry);
+    writer.writeBlock(attr);
     return writer.take();
 }
 
+/** The container's fields; the blocks are views into its bytes. */
 struct ParsedContainer {
     Frame::Type type = Frame::Type::kIntra;
     AttrKind attr_kind = AttrKind::kSegment;
     int grid_bits = 10;
-    std::vector<std::uint8_t> geometry;
-    std::vector<std::uint8_t> attr;
+    ByteSpan geometry;
+    ByteSpan attr;
 };
 
 Expected<ParsedContainer>
-parseContainer(const std::vector<std::uint8_t> &bitstream)
+parseContainer(ByteSpan bitstream)
 {
     BitReader reader(bitstream);
     if (reader.readBits(8) != 'E' || reader.readBits(8) != 'P' ||
@@ -110,32 +107,16 @@ parseContainer(const std::vector<std::uint8_t> &bitstream)
     parsed.attr_kind = static_cast<AttrKind>(kind);
     parsed.grid_bits = static_cast<int>(reader.readBits(8));
 
-    const auto read_block =
-        [&](std::vector<std::uint8_t> &out) -> Status {
-        const std::size_t size =
-            static_cast<std::size_t>(reader.readVarint());
-        reader.alignToByte();
-        if (reader.overrun() || !reader.hasBytes(size))
-            return corruptBitstream(
-                "frame container: truncated block");
-        out.assign(
-            bitstream.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset()),
-            bitstream.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset() +
-                                            size));
-        reader.skipBytes(size);
-        return Status::ok();
-    };
-    EDGEPCC_RETURN_IF_ERROR(read_block(parsed.geometry));
-    EDGEPCC_RETURN_IF_ERROR(read_block(parsed.attr));
+    parsed.geometry = reader.readBlock();
+    parsed.attr = reader.readBlock();
+    if (reader.overrun())
+        return corruptBitstream("frame container: truncated block");
     return parsed;
 }
 
 /** Decodes an intra attribute payload into `cloud`. */
 Status
-decodeIntraAttrInto(AttrKind kind,
-                    const std::vector<std::uint8_t> &payload,
+decodeIntraAttrInto(AttrKind kind, ByteSpan payload,
                     VoxelCloud &cloud, WorkRecorder *recorder)
 {
     switch (kind) {

@@ -1,11 +1,10 @@
 #include "edgepcc/dataset/catalogue.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
+
+#include "edgepcc/common/parse_number.h"
 
 namespace edgepcc {
 
@@ -51,32 +50,13 @@ paperVideoSpecs(double scale)
     return specs;
 }
 
-namespace {
-
-/** Env var `name` when all of its text reads as one T. */
-template <typename T>
-std::optional<T>
-envValue(const char *name)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return std::nullopt;
-    const char *end = text + std::strlen(text);
-    T value{};
-    const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc() || ptr != end)
-        return std::nullopt;
-    return value;
-}
-
-}  // namespace
-
 double
 workloadScaleFromEnv(double fallback)
 {
+    const char *text = std::getenv("EDGEPCC_SCALE");
     const std::optional<double> value =
-        envValue<double>("EDGEPCC_SCALE");
-    if (!value || !std::isfinite(*value) || *value <= 0.0)
+        text ? finiteNumber(text) : std::nullopt;
+    if (!value || *value <= 0.0)
         return fallback;
     return std::min(*value, 1.0);
 }
@@ -84,7 +64,9 @@ workloadScaleFromEnv(double fallback)
 int
 framesFromEnv(int fallback)
 {
-    const std::optional<int> value = envValue<int>("EDGEPCC_FRAMES");
+    const char *text = std::getenv("EDGEPCC_FRAMES");
+    const std::optional<int> value =
+        text ? wholeNumber<int>(text) : std::nullopt;
     return value && *value > 0 ? *value : fallback;
 }
 

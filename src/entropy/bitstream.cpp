@@ -99,6 +99,20 @@ BitReader::alignToByte()
     }
 }
 
+ByteSpan
+BitReader::readBytes(std::uint64_t n)
+{
+    alignToByte();
+    if (n > size_ - byte_) {
+        byte_ = size_;
+        overrun_ = true;
+        return {};
+    }
+    const ByteSpan bytes(data_ + byte_, static_cast<std::size_t>(n));
+    byte_ += static_cast<std::size_t>(n);
+    return bytes;
+}
+
 std::uint64_t
 BitReader::readVarint()
 {

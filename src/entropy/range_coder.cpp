@@ -82,8 +82,8 @@ RangeEncoder::finish()
 // RangeDecoder
 // ---------------------------------------------------------------------
 
-RangeDecoder::RangeDecoder(const std::uint8_t *data, std::size_t size)
-    : data_(data), size_(size)
+RangeDecoder::RangeDecoder(ByteSpan bytes)
+    : data_(bytes.data()), size_(bytes.size())
 {
     // The first emitted byte is the encoder's initial zero cache;
     // reading 5 bytes into a 32-bit code shifts it out.
@@ -288,8 +288,7 @@ entropyCompress(const std::vector<std::uint8_t> &input)
 }
 
 Expected<std::vector<std::uint8_t>>
-entropyDecompress(const std::vector<std::uint8_t> &input,
-                  std::size_t output_size)
+entropyDecompress(ByteSpan input, std::size_t output_size)
 {
     // `output_size` comes from an untrusted stream header: cap the
     // up-front reservation and let push_back grow on demand, so a

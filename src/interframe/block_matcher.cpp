@@ -418,15 +418,13 @@ encodeInterAttr(const VoxelCloud &p_sorted,
         writer.writeBits(reuse_flag[pb], 1);
         writer.writeBits(best_offset[pb], ptr_bits);
     }
-    writer.writeVarint(delta_payload.size());
-    writer.writeBytes(delta_payload.data(), delta_payload.size());
+    writer.writeBlock(delta_payload);
     result.payload = writer.take();
     return result;
 }
 
 Status
-decodeInterAttrInto(const std::vector<std::uint8_t> &payload,
-                    const VoxelCloud &i_reference,
+decodeInterAttrInto(ByteSpan payload, const VoxelCloud &i_reference,
                     VoxelCloud &p_cloud, WorkRecorder *recorder)
 {
     const std::size_t np = p_cloud.size();
@@ -471,20 +469,12 @@ decodeInterAttrInto(const std::vector<std::uint8_t> &payload,
         best_offset[pb] =
             static_cast<std::uint32_t>(reader.readBits(ptr_bits));
     }
-    const std::size_t delta_size =
-        static_cast<std::size_t>(reader.readVarint());
-    reader.alignToByte();
-    if (reader.overrun() || !reader.hasBytes(delta_size))
+    const ByteSpan delta_payload = reader.readBlock();
+    if (reader.overrun())
         return corruptBitstream("inter payload: truncated");
 
     AttrChannels deltas;
-    if (delta_size > 0) {
-        std::vector<std::uint8_t> delta_payload(
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset()),
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset() +
-                                            delta_size));
+    if (!delta_payload.empty()) {
         auto decoded = decodeSegmentAttr(delta_payload, recorder);
         if (!decoded)
             return decoded.status();

@@ -301,14 +301,13 @@ encodeMacroBlockAttr(const VoxelCloud &p_sorted,
         }
     }
     writer.writeVarint(raw_attrs.size());
-    writer.writeVarint(packed.size());
-    writer.writeBytes(packed.data(), packed.size());
+    writer.writeBlock(packed);
     result.payload = writer.take();
     return result;
 }
 
 Status
-decodeMacroBlockAttrInto(const std::vector<std::uint8_t> &payload,
+decodeMacroBlockAttrInto(ByteSpan payload,
                          const VoxelCloud &i_reference,
                          VoxelCloud &p_cloud,
                          WorkRecorder *recorder)
@@ -371,22 +370,12 @@ decodeMacroBlockAttrInto(const std::vector<std::uint8_t> &payload,
     }
     const std::size_t raw_size =
         static_cast<std::size_t>(reader.readVarint());
-    const std::size_t packed_size =
-        static_cast<std::size_t>(reader.readVarint());
-    reader.alignToByte();
-    EDGEPCC_CHECK_CORRUPT(
-        !reader.overrun() && reader.hasBytes(packed_size),
-        "mb payload: truncated");
+    const ByteSpan packed = reader.readBlock();
+    EDGEPCC_CHECK_CORRUPT(!reader.overrun(), "mb payload: truncated");
     // Raw attributes are 3 bytes per point for non-reused blocks:
     // never more than 3n in a well-formed stream.
     EDGEPCC_CHECK_CORRUPT(raw_size <= 3 * n,
                           "mb payload: implausible raw size");
-    std::vector<std::uint8_t> packed(
-        payload.begin() +
-            static_cast<std::ptrdiff_t>(reader.byteOffset()),
-        payload.begin() +
-            static_cast<std::ptrdiff_t>(reader.byteOffset() +
-                                        packed_size));
     auto raw = entropyDecompress(packed, raw_size);
     if (!raw)
         return raw.status();
@@ -448,12 +437,8 @@ encodeRawEntropyAttr(const VoxelCloud &sorted_cloud,
     writer.writeVarint(n);
     const std::vector<std::uint8_t> *channels[3] = {
         &sorted_cloud.r(), &sorted_cloud.g(), &sorted_cloud.b()};
-    for (const auto *channel : channels) {
-        const std::vector<std::uint8_t> packed =
-            entropyCompress(*channel);
-        writer.writeVarint(packed.size());
-        writer.writeBytes(packed.data(), packed.size());
-    }
+    for (const auto *channel : channels)
+        writer.writeBlock(entropyCompress(*channel));
     recordKernel(recorder,
                  KernelWork{.name = "attr.raw_entropy",
                             .resource = ExecResource::kCpuSequential,
@@ -465,8 +450,8 @@ encodeRawEntropyAttr(const VoxelCloud &sorted_cloud,
 }
 
 Status
-decodeRawEntropyAttrInto(const std::vector<std::uint8_t> &payload,
-                         VoxelCloud &cloud, WorkRecorder *recorder)
+decodeRawEntropyAttrInto(ByteSpan payload, VoxelCloud &cloud,
+                         WorkRecorder *recorder)
 {
     ScopedStage stage(recorder, "attrdec.raw_entropy");
     BitReader reader(payload);
@@ -482,22 +467,13 @@ decodeRawEntropyAttrInto(const std::vector<std::uint8_t> &payload,
     std::vector<std::uint8_t> *channels[3] = {
         &cloud.mutableR(), &cloud.mutableG(), &cloud.mutableB()};
     for (auto *channel : channels) {
-        const std::size_t packed_size =
-            static_cast<std::size_t>(reader.readVarint());
-        reader.alignToByte();
-        if (reader.overrun() || !reader.hasBytes(packed_size))
+        const ByteSpan packed = reader.readBlock();
+        if (reader.overrun())
             return corruptBitstream("raw attr payload: truncated");
-        std::vector<std::uint8_t> packed(
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset()),
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset() +
-                                            packed_size));
         auto raw = entropyDecompress(packed, n);
         if (!raw)
             return raw.status();
         *channel = raw.takeValue();
-        reader.skipBytes(packed_size);
     }
     return Status::ok();
 }

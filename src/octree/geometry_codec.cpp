@@ -124,8 +124,7 @@ assemblePayload(std::uint8_t flags, int depth, std::size_t num_voxels,
     writeHeader(writer, flags, depth, num_voxels, box);
     writer.writeVarint(occupancy.size());
     if (entropy) {
-        writer.writeVarint(packed.size());
-        writer.writeBytes(packed.data(), packed.size());
+        writer.writeBlock(packed);
         recordKernel(
             recorder,
             KernelWork{.name = "geom.entropy",
@@ -338,8 +337,8 @@ struct ParsedHeader {
     BoxParams box;
     /** Plain (or order-0 pre-decoded) occupancy bytes. Empty in
      *  contextual mode, where `packed` is decoded on the fly. */
-    std::vector<std::uint8_t> occupancy;
-    std::vector<std::uint8_t> packed;
+    ByteSpan occupancy;
+    ByteSpan packed;
     std::size_t occupancy_size = 0;
 };
 
@@ -424,8 +423,13 @@ class OccupancyByteSource
     std::size_t remaining_ = 0;
 };
 
+/**
+ * Reads the header and finds the occupancy bytes: views into
+ * `payload`, or into `unpacked`, which receives the order-0 entropy
+ * decoder's output.
+ */
 Expected<ParsedHeader>
-parsePayload(const std::vector<std::uint8_t> &payload)
+parsePayload(ByteSpan payload, std::vector<std::uint8_t> &unpacked)
 {
     BitReader reader(payload);
     ParsedHeader header;
@@ -471,42 +475,25 @@ parsePayload(const std::vector<std::uint8_t> &payload)
     EDGEPCC_CHECK_CORRUPT(occupancy_size <= kMaxDecodeItems * 2,
                           "geometry payload: implausible node count");
     if (header.flags & kFlagEntropy) {
-        const auto packed_size =
-            static_cast<std::size_t>(reader.readVarint());
-        reader.alignToByte();
-        EDGEPCC_CHECK_CORRUPT(
-            !reader.overrun() && reader.hasBytes(packed_size),
-            "geometry payload: truncated entropy block");
-        std::vector<std::uint8_t> packed(
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset()),
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset() +
-                                            packed_size));
+        const ByteSpan packed = reader.readBlock();
+        EDGEPCC_CHECK_CORRUPT(!reader.overrun(),
+                              "geometry payload: truncated entropy block");
         if (header.flags & kFlagContextual) {
             // Contextual decoding interleaves with expansion.
-            header.packed = std::move(packed);
+            header.packed = packed;
         } else {
-            auto unpacked =
-                entropyDecompress(packed, occupancy_size);
-            if (!unpacked)
-                return unpacked.status();
-            header.occupancy = unpacked.takeValue();
+            auto decoded = entropyDecompress(packed, occupancy_size);
+            if (!decoded)
+                return decoded.status();
+            unpacked = decoded.takeValue();
+            header.occupancy = unpacked;
         }
     } else {
-        reader.alignToByte();
-        if (!reader.hasBytes(occupancy_size))
+        header.occupancy = reader.readBytes(occupancy_size);
+        if (reader.overrun())
             return corruptBitstream(
                 "geometry payload: truncated occupancy");
-        header.occupancy.assign(
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset()),
-            payload.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset() +
-                                            occupancy_size));
     }
-    if (reader.overrun())
-        return corruptBitstream("geometry payload: header overrun");
     return header;
 }
 
@@ -635,11 +622,11 @@ expandDepthFirst(const ParsedHeader &header)
 }  // namespace
 
 Expected<VoxelCloud>
-decodeGeometry(const std::vector<std::uint8_t> &payload,
-               WorkRecorder *recorder)
+decodeGeometry(ByteSpan payload, WorkRecorder *recorder)
 {
     ScopedStage parse_stage(recorder, "geomdec.parse");
-    auto header = parsePayload(payload);
+    std::vector<std::uint8_t> unpacked;
+    auto header = parsePayload(payload, unpacked);
     if (!header)
         return header.status();
     recordKernel(recorder,

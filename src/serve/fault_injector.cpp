@@ -1,11 +1,10 @@
 #include "edgepcc/serve/fault_injector.h"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <utility>
 
+#include "edgepcc/common/parse_number.h"
 #include "edgepcc/common/trace.h"
 
 namespace edgepcc {
@@ -30,31 +29,27 @@ parseError(const std::string &detail)
     return invalidArgument("DeviceFaultSpec::parse: " + detail);
 }
 
-/** Reads the value of @p pair ("key=value") as a finite double
- *  (strtod syntax). NaN and infinity are refused: every comparison
- *  with NaN is false, so it would slip past the range checks. */
+/** Reads the value of @p pair ("key=value") with finiteNumber(). */
 Status
 parseFinite(const std::string &pair, const std::string &value,
             double *out)
 {
-    char *end = nullptr;
-    const double num = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || !std::isfinite(num))
+    const std::optional<double> num = finiteNumber(value);
+    if (!num)
         return parseError("'" + pair + "' needs a finite number");
-    *out = num;
+    *out = *num;
     return Status::ok();
 }
 
-/** Reads the value of @p pair as a whole decimal that fits an int:
- *  no fraction or exponent (a double outside int's range has no
- *  defined conversion to it). The caller rejects negatives. */
+/** Reads the value of @p pair with wholeNumber() into an int; the
+ *  caller rejects negatives. */
 Status
 parseWhole(const std::string &pair, const std::string &value, int *out)
 {
-    const char *end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
-    if (ec != std::errc() || ptr != end)
+    const std::optional<int> num = wholeNumber<int>(value);
+    if (!num)
         return parseError("'" + pair + "' needs a whole number");
+    *out = *num;
     return Status::ok();
 }
 

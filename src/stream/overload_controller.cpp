@@ -1,11 +1,10 @@
 #include "edgepcc/stream/overload_controller.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
 #include <map>
+#include <optional>
 
+#include "edgepcc/common/parse_number.h"
 #include "edgepcc/common/rng.h"
 #include "edgepcc/common/trace.h"
 
@@ -13,34 +12,30 @@ namespace edgepcc {
 
 namespace {
 
-/** Reads the value of @p pair ("key=value") as a finite double
- *  (strtod syntax). NaN and infinity are refused: every comparison
- *  with NaN is false, so it would slip past the range checks. */
+/** Reads the value of @p pair ("key=value") with finiteNumber(). */
 Status
 parseFinite(const std::string &pair, const std::string &value,
             double *out)
 {
-    char *end = nullptr;
-    const double num = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || !std::isfinite(num))
+    const std::optional<double> num = finiteNumber(value);
+    if (!num)
         return invalidArgument("LoadSpec::parse: '" + pair +
                                "' needs a finite number");
-    *out = num;
+    *out = *num;
     return Status::ok();
 }
 
-/** Reads the value of @p pair as a whole decimal that fits the
- *  unsigned @p T: no sign, fraction or exponent (a double outside
- *  T's range has no defined conversion to it). */
+/** Reads the value of @p pair with wholeNumber() into the unsigned
+ *  @p T. */
 template <typename T>
 Status
 parseWhole(const std::string &pair, const std::string &value, T *out)
 {
-    const char *end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
-    if (ec != std::errc() || ptr != end)
+    const std::optional<T> num = wholeNumber<T>(value);
+    if (!num)
         return invalidArgument("LoadSpec::parse: '" + pair +
                                "' needs a whole number >= 0");
+    *out = *num;
     return Status::ok();
 }
 

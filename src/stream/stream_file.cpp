@@ -21,10 +21,8 @@ packStream(const std::vector<std::vector<std::uint8_t>> &frames)
     for (const char c : kMagic)
         writer.writeBits(static_cast<std::uint8_t>(c), 8);
     writer.writeVarint(frames.size());
-    for (const auto &frame : frames) {
-        writer.writeVarint(frame.size());
-        writer.writeBytes(frame.data(), frame.size());
-    }
+    for (const auto &frame : frames)
+        writer.writeBlock(frame);
     return writer.take();
 }
 
@@ -45,18 +43,10 @@ unpackStream(const std::vector<std::uint8_t> &bytes)
     std::vector<std::vector<std::uint8_t>> frames;
     frames.reserve(count);
     for (std::uint64_t f = 0; f < count; ++f) {
-        const auto size =
-            static_cast<std::size_t>(reader.readVarint());
-        reader.alignToByte();
-        if (reader.overrun() || !reader.hasBytes(size))
+        const ByteSpan frame = reader.readBlock();
+        if (reader.overrun())
             return corruptBitstream("EPCV stream: truncated frame");
-        frames.emplace_back(
-            bytes.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset()),
-            bytes.begin() +
-                static_cast<std::ptrdiff_t>(reader.byteOffset() +
-                                            size));
-        reader.skipBytes(size);
+        frames.emplace_back(frame.begin(), frame.end());
     }
     return frames;
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "edgepcc/common/rng.h"
@@ -302,6 +303,25 @@ class RefReader
         }
     }
 
+    /**
+     * An align, then `n` byte reads. Past the end the first failed
+     * read sets the flag and clamps; later ones would change
+     * nothing, so they are not made. Returns where the bytes start.
+     */
+    std::size_t
+    readBytes(std::uint64_t n)
+    {
+        alignToByte();
+        const std::size_t start = byte_;
+        for (std::uint64_t k = 0; k < n; ++k) {
+            const bool past_end = byte_ >= bytes_.size();
+            readBits(8);
+            if (past_end)
+                break;
+        }
+        return start;
+    }
+
     bool overrun() const { return overrun_; }
     std::size_t byteOffset() const { return byte_; }
 
@@ -327,7 +347,7 @@ TEST(BitWriterDifferential, RandomSequencesMatchReference)
         RefWriter ref;
         const int ops = static_cast<int>(rng.bounded(300));
         for (int op = 0; op < ops; ++op) {
-            switch (rng.bounded(6)) {
+            switch (rng.bounded(7)) {
               case 0:
               case 1: {
                   // Unmasked values, so the high-bit masking runs.
@@ -357,12 +377,22 @@ TEST(BitWriterDifferential, RandomSequencesMatchReference)
                 writer.alignToByte();
                 ref.alignToByte();
                 break;
-              default: {
+              case 5: {
                   std::vector<std::uint8_t> data(rng.bounded(13));
                   for (auto &byte : data)
                       byte = static_cast<std::uint8_t>(rng());
                   writer.writeBytes(data.data(), data.size());
                   ref.writeBytes(data.data(), data.size());
+                  break;
+              }
+              default: {
+                  std::vector<std::uint8_t> data(rng.bounded(13));
+                  for (auto &byte : data)
+                      byte = static_cast<std::uint8_t>(rng());
+                  // A block is its varint length, then the bytes.
+                  ref.writeVarint(data.size());
+                  ref.writeBytes(data.data(), data.size());
+                  writer.writeBlock(data);
                   break;
               }
             }
@@ -383,6 +413,30 @@ sameState(const BitReader &reader, const RefReader &ref)
            << "byteOffset " << reader.byteOffset() << " vs "
            << ref.byteOffset() << ", overrun " << reader.overrun()
            << " vs " << ref.overrun();
+}
+
+/**
+ * Runs readBytes(*n), or readBlock() when `n` is empty, on both
+ * readers. Their state must match, and a read that got all its
+ * bytes must return them in place.
+ */
+::testing::AssertionResult
+sameBytesRead(BitReader &reader, RefReader &ref,
+              const std::vector<std::uint8_t> &bytes,
+              std::optional<std::uint64_t> n)
+{
+    const ByteSpan view = n ? reader.readBytes(*n) : reader.readBlock();
+    const std::uint64_t length = n ? *n : ref.readVarint();
+    const std::size_t start = ref.readBytes(length);
+    const bool whole = ref.byteOffset() - start == length;
+    const bool in_place = view.data() == bytes.data() + start;
+    if (whole ? !in_place || view.size() != length : !view.empty()) {
+        return ::testing::AssertionFailure()
+               << "view of " << view.size() << " bytes, in place "
+               << in_place << "; reference: " << length
+               << " bytes at " << start << ", whole " << whole;
+    }
+    return sameState(reader, ref);
 }
 
 TEST(BitReaderDifferential, RandomSequencesMatchReference)
@@ -416,17 +470,53 @@ TEST(BitReaderDifferential, RandomSequencesMatchReference)
                 ASSERT_EQ(reader.readSignedVarint(),
                           zigzagDecode(ref.readVarint()))
                     << "seed " << seed << " op " << op;
+            } else if (rng.bounded(2)) {
+                ASSERT_TRUE(sameBytesRead(reader, ref, bytes,
+                                          rng.bounded(12)))
+                    << "seed " << seed << " op " << op;
             } else {
-                // skipBytes(n) on an aligned reader is n byte reads.
-                reader.alignToByte();
-                ref.alignToByte();
-                const std::size_t n = rng.bounded(12);
-                reader.skipBytes(n);
-                for (std::size_t k = 0; k < n; ++k)
-                    ref.readBits(8);
+                // The length is whatever varint the bytes hold.
+                ASSERT_TRUE(
+                    sameBytesRead(reader, ref, bytes, std::nullopt))
+                    << "seed " << seed << " op " << op;
             }
             ASSERT_TRUE(sameState(reader, ref))
                 << "seed " << seed << " op " << op;
+        }
+    }
+}
+
+TEST(BitReaderDifferential, BlockLengthsAtTheEdgesMatchReference)
+{
+    // After the start bits, the length (readBlock only) and the skip
+    // to a byte boundary, ten bytes are left. Lengths 0, ten, eleven
+    // and 2^64 - 1, from odd start bits.
+    constexpr std::uint64_t kLeft = 10;
+    for (int start_bit = 1; start_bit < 24; start_bit += 2) {
+        for (const bool block : {false, true}) {
+            for (const std::uint64_t n :
+                 {std::uint64_t{0}, kLeft, kLeft + 1,
+                  ~std::uint64_t{0}}) {
+                BitWriter writer;
+                writer.writeBits(0x2DB5A5, start_bit);
+                if (block)
+                    writer.writeVarint(n);
+                for (std::uint64_t k = 0; k < kLeft; ++k)
+                    writer.writeBits(0xC3 ^ k, 8);
+                const std::vector<std::uint8_t> bytes = writer.take();
+                BitReader reader(bytes);
+                RefReader ref(bytes);
+                reader.readBits(start_bit);
+                ref.readBits(start_bit);
+                const auto where = ::testing::Message()
+                                   << "start bit " << start_bit
+                                   << " block " << block << " n " << n;
+                ASSERT_TRUE(sameBytesRead(
+                    reader, ref, bytes,
+                    block ? std::nullopt : std::optional(n)))
+                    << where;
+                EXPECT_EQ(reader.overrun(), n > kLeft) << where;
+            }
         }
     }
 }

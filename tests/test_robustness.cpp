@@ -15,13 +15,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iomanip>
 #include <memory>
 #include <new>
 #include <optional>
 #include <sstream>
 #include <string>
+
+#include <sys/wait.h>
 
 #include "edgepcc/common/rng.h"
 #include "edgepcc/common/trace.h"
@@ -873,6 +877,62 @@ TEST_F(RobustnessTest, CliRejectsTruncatedStreamWithNonZeroExit)
         std::string(EDGEPCC_CLI_BINARY) + " decode " + good +
         " " + dir + "edgepcc_good_out >/dev/null 2>&1";
     EXPECT_EQ(std::system(good_command.c_str()), 0);
+}
+
+/**
+ * Runs `edgepcc_cli synth` with `flags`; true when it exits 2 and
+ * writes no frame.
+ */
+::testing::AssertionResult
+synthRefuses(const std::string &flags)
+{
+    // One prefix per test, so tests that run at once do not share
+    // a frame file.
+    const std::string prefix =
+        ::testing::TempDir() + "edgepcc_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    const std::string frame = prefix + "_0000.ply";
+    std::remove(frame.c_str());
+    const std::string command = std::string(EDGEPCC_CLI_BINARY) +
+                                " synth " + prefix + " " + flags +
+                                " >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    const bool wrote = std::ifstream(frame).good();
+    if (WIFEXITED(status) && WEXITSTATUS(status) == 2 && !wrote)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "'" << flags << "': wait status " << status
+           << ", wrote a frame " << wrote;
+}
+
+TEST_F(RobustnessTest, CliRejectsMalformedNumbers)
+{
+    // atoi/atof would read "abc" as 0 and "1x" as 1.
+    for (const char *flags :
+         {"--frames abc", "--frames 1x", "--points abc",
+          "--frames 1 --points 1x", "--frames 1 --scale abc",
+          "--frames 1 --scale 0.01x"}) {
+        EXPECT_TRUE(synthRefuses(flags));
+    }
+}
+
+TEST_F(RobustnessTest, CliRejectsOutOfRangeNumbers)
+{
+    for (const char *flags :
+         {"--frames 0", "--frames -1", "--frames 99999999999",
+          "--points 0", "--points -1", "--scale 0", "--scale -0.5",
+          "--scale 2", "--scale nan", "--scale inf", "--frames"}) {
+        EXPECT_TRUE(synthRefuses(flags));
+    }
+    // The bounds themselves are accepted.
+    const std::string command =
+        std::string(EDGEPCC_CLI_BINARY) + " synth " +
+        ::testing::TempDir() +
+        "edgepcc_accepted --frames 1 --points 1 --scale 1 "
+        ">/dev/null 2>&1";
+    EXPECT_EQ(std::system(command.c_str()), 0);
+    std::remove(
+        (::testing::TempDir() + "edgepcc_accepted_0000.ply").c_str());
 }
 #endif  // EDGEPCC_CLI_BINARY
 

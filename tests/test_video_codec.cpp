@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "edgepcc/attr/segment_codec.h"
 #include "edgepcc/dataset/catalogue.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/metrics/quality.h"
+#include "edgepcc/octree/geometry_codec.h"
 
 namespace edgepcc {
 namespace {
@@ -226,6 +228,51 @@ TEST_F(VideoCodecTest, GarbageBitstreamRejected)
     VideoDecoder decoder;
     const std::vector<std::uint8_t> junk{1, 2, 3, 4, 5};
     EXPECT_FALSE(decoder.decode(junk).hasValue());
+}
+
+TEST_F(VideoCodecTest, PayloadsDecodeInPlaceInsideALargerBuffer)
+{
+    // The decoders read their payloads through views, as they do
+    // inside a frame container: a payload at an odd offset of a
+    // padded buffer decodes exactly as the standalone vector.
+    const CodecConfig config = makeIntraInterV1Config();
+    auto geometry = encodeGeometry(frames_[0], config.geometry);
+    ASSERT_TRUE(geometry.hasValue());
+    const VoxelCloud &sorted = geometry->sorted_cloud;
+    AttrChannels channels;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        channels[0].push_back(sorted.r()[i]);
+        channels[1].push_back(sorted.g()[i]);
+        channels[2].push_back(sorted.b()[i]);
+    }
+    auto attr = encodeSegmentAttr(channels, config.segment);
+    ASSERT_TRUE(attr.hasValue());
+
+    std::vector<std::uint8_t> buffer(3, 0xA5);
+    buffer.insert(buffer.end(), geometry->payload.begin(),
+                  geometry->payload.end());
+    buffer.insert(buffer.end(), attr->begin(), attr->end());
+    buffer.insert(buffer.end(), 5, 0x5A);
+    const ByteSpan geometry_view(buffer.data() + 3,
+                                 geometry->payload.size());
+    const ByteSpan attr_view(geometry_view.data() +
+                                 geometry_view.size(),
+                             attr->size());
+
+    auto cloud = decodeGeometry(geometry->payload);
+    auto cloud_in_place = decodeGeometry(geometry_view);
+    ASSERT_TRUE(cloud.hasValue());
+    ASSERT_TRUE(cloud_in_place.hasValue());
+    EXPECT_EQ(cloud_in_place->gridBits(), cloud->gridBits());
+    EXPECT_EQ(cloud_in_place->x(), cloud->x());
+    EXPECT_EQ(cloud_in_place->y(), cloud->y());
+    EXPECT_EQ(cloud_in_place->z(), cloud->z());
+
+    auto decoded = decodeSegmentAttr(*attr);
+    auto decoded_in_place = decodeSegmentAttr(attr_view);
+    ASSERT_TRUE(decoded.hasValue());
+    ASSERT_TRUE(decoded_in_place.hasValue());
+    EXPECT_EQ(*decoded_in_place, *decoded);
 }
 
 TEST_F(VideoCodecTest, DecoderMatchesEncoderReference)

@@ -13,13 +13,14 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "edgepcc/common/parse_number.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/catalogue.h"
 #include "edgepcc/dataset/ply_io.h"
@@ -65,20 +66,35 @@ class Args
         return it != options_.end() ? it->second : fallback;
     }
 
-    double
-    getDouble(const std::string &key, double fallback) const
+    /**
+     * --key as a whole number >= 1 that fits an int, or `fallback`
+     * when the flag is absent. Any other value prints why and gives
+     * nullopt.
+     */
+    std::optional<int>
+    getCount(const std::string &key, int fallback) const
     {
-        const auto it = options_.find(key);
-        return it != options_.end() ? std::atof(it->second.c_str())
-                                    : fallback;
+        if (!has(key))
+            return fallback;
+        const std::optional<int> value = wholeNumber<int>(get(key, ""));
+        if (value && *value >= 1)
+            return value;
+        return refuse(key, "a whole number >= 1");
     }
 
-    int
-    getInt(const std::string &key, int fallback) const
+    /**
+     * --key as a finite number in (0, 1], or `fallback` when the
+     * flag is absent. Any other value prints why and gives nullopt.
+     */
+    std::optional<double>
+    getFraction(const std::string &key, double fallback) const
     {
-        const auto it = options_.find(key);
-        return it != options_.end() ? std::atoi(it->second.c_str())
-                                    : fallback;
+        if (!has(key))
+            return fallback;
+        const std::optional<double> value = finiteNumber(get(key, ""));
+        if (value && *value > 0.0 && *value <= 1.0)
+            return value;
+        return refuse(key, "a number in (0, 1]");
     }
 
     bool
@@ -88,6 +104,15 @@ class Args
     }
 
   private:
+    std::nullopt_t
+    refuse(const std::string &key, const char *needs) const
+    {
+        (void)std::fprintf(stderr,
+                           "edgepcc_cli: --%s needs %s, got '%s'\n",
+                           key.c_str(), needs, get(key, "").c_str());
+        return std::nullopt;
+    }
+
     std::map<std::string, std::string> options_;
     std::vector<std::string> positional_;
 };
@@ -125,14 +150,17 @@ cmdSynth(const Args &args)
     const std::string prefix = args.positional()[0];
     const std::string video_name =
         args.get("video", "Redandblack");
-    const int frames = args.getInt("frames", 3);
-    const double scale = args.getDouble("scale", 0.1);
+    const std::optional<int> frames = args.getCount("frames", 3);
+    const std::optional<double> scale = args.getFraction("scale", 0.1);
+    const std::optional<int> points = args.getCount("points", 80000);
+    if (!frames || !scale || !points)
+        return 2;
 
     VideoSpec spec;
     bool found = false;
     for (const CatalogueEntry &entry : paperCatalogue()) {
         if (video_name == entry.name) {
-            spec = makeVideoSpec(entry, scale);
+            spec = makeVideoSpec(entry, *scale);
             found = true;
             break;
         }
@@ -142,13 +170,11 @@ cmdSynth(const Args &args)
         spec.seed = 12345;
         spec.target_points = 80000;
     }
-    if (args.has("points")) {
-        spec.target_points = static_cast<std::size_t>(
-            args.getInt("points", 80000));
-    }
+    if (args.has("points"))
+        spec.target_points = static_cast<std::size_t>(*points);
 
     SyntheticHumanVideo video(spec);
-    for (int f = 0; f < frames; ++f) {
+    for (int f = 0; f < *frames; ++f) {
         const VoxelCloud cloud = video.frame(f);
         char path[512];
         (void)std::snprintf(path, sizeof(path), "%s_%04d.ply",
@@ -181,7 +207,9 @@ cmdEncode(const Args &args)
                      codec.status().toString().c_str());
         return 2;
     }
-    const int grid_bits = args.getInt("grid-bits", 10);
+    const std::optional<int> grid_bits = args.getCount("grid-bits", 10);
+    if (!grid_bits)
+        return 2;
 
     VideoEncoder encoder(*codec);
     const EdgeDeviceModel model;
@@ -190,7 +218,7 @@ cmdEncode(const Args &args)
 
     for (std::size_t i = 1; i < args.positional().size(); ++i) {
         const std::string &path = args.positional()[i];
-        auto cloud = readPlyVoxels(path, grid_bits);
+        auto cloud = readPlyVoxels(path, *grid_bits);
         if (!cloud) {
             (void)std::fprintf(stderr, "%s: %s\n", path.c_str(),
                          cloud.status().toString().c_str());
@@ -323,9 +351,11 @@ cmdMetrics(const Args &args)
                      "<test.ply> [--grid-bits N]\n");
         return 2;
     }
-    const int grid_bits = args.getInt("grid-bits", 10);
-    auto ref = readPlyVoxels(args.positional()[0], grid_bits);
-    auto test = readPlyVoxels(args.positional()[1], grid_bits);
+    const std::optional<int> grid_bits = args.getCount("grid-bits", 10);
+    if (!grid_bits)
+        return 2;
+    auto ref = readPlyVoxels(args.positional()[0], *grid_bits);
+    auto test = readPlyVoxels(args.positional()[1], *grid_bits);
     if (!ref || !test) {
         (void)std::fprintf(stderr, "%s\n",
                      (!ref ? ref.status() : test.status())
@@ -361,7 +391,9 @@ cmdHelp()
         "  edgepcc_cli metrics <ref.ply> <test.ply> "
         "[--grid-bits N]\n\n"
         "Codecs: tmc13 (baseline intra), cwipc (baseline inter),\n"
-        "        intra / v1 / v2 (the paper's proposed designs).\n");
+        "        intra / v1 / v2 (the paper's proposed designs).\n"
+        "Numbers: N is a whole number >= 1, S is in (0, 1]; any\n"
+        "         other value exits 2.\n");
     return 0;
 }
 
