@@ -10,8 +10,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "edgepcc/common/parse_number.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/platform/device_model.h"
@@ -20,13 +21,17 @@ int
 main(int argc, char **argv)
 {
     using namespace edgepcc;
-    const std::size_t points =
-        argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1]))
-                 : 90000;
+    const std::optional<std::size_t> points =
+        argc > 1 ? wholeNumber<std::size_t>(argv[1]) : 90000;
+    if (!points || *points < 1) {
+        (void)std::fprintf(stderr,
+                           "usage: edge_profiler [points >= 1]\n");
+        return 2;
+    }
 
     VideoSpec spec;
     spec.name = "profiler";
-    spec.target_points = points;
+    spec.target_points = *points;
     SyntheticHumanVideo video(spec);
     const VoxelCloud frame = video.frame(0);
 

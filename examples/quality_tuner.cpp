@@ -10,8 +10,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "edgepcc/common/parse_number.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/metrics/quality.h"
@@ -31,12 +32,16 @@ struct SweepPoint {
 int
 main(int argc, char **argv)
 {
-    const std::size_t points =
-        argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1]))
-                 : 60000;
+    const std::optional<std::size_t> points =
+        argc > 1 ? wholeNumber<std::size_t>(argv[1]) : 60000;
+    if (!points || *points < 1) {
+        (void)std::fprintf(stderr,
+                           "usage: quality_tuner [points >= 1]\n");
+        return 2;
+    }
     VideoSpec spec;
     spec.name = "tuner";
-    spec.target_points = points;
+    spec.target_points = *points;
     SyntheticHumanVideo video(spec);
     const VoxelCloud frame0 = video.frame(0);
     const VoxelCloud frame1 = video.frame(1);
@@ -44,7 +49,7 @@ main(int argc, char **argv)
     const EdgeDeviceModel model;
 
     (void)std::printf("Quality tuner: IPP group over ~%zu points\n\n",
-                points);
+                *points);
     (void)std::printf("%10s %7s %10s %10s %10s %9s\n", "threshold",
                 "qstep", "ratio", "PSNR [dB]", "enc [ms]",
                 "reuse%");

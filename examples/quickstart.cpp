@@ -8,8 +8,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "edgepcc/common/parse_number.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/metrics/quality.h"
@@ -19,15 +20,19 @@ int
 main(int argc, char **argv)
 {
     using namespace edgepcc;
+    const std::optional<std::size_t> points =
+        argc > 1 ? wholeNumber<std::size_t>(argv[1]) : 100000;
+    if (!points || *points < 1) {
+        (void)std::fprintf(stderr, "usage: quickstart [points >= 1]\n");
+        return 2;
+    }
 
     // 1. Get a frame. Real applications load a PLY (see
     //    readPlyVoxels in edgepcc/dataset/ply_io.h); here we
     //    synthesize a voxelized human.
     VideoSpec spec;
     spec.name = "quickstart";
-    spec.target_points =
-        argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1]))
-                 : 100000;
+    spec.target_points = *points;
     SyntheticHumanVideo video(spec);
     const VoxelCloud frame = video.frame(0);
     (void)std::printf("input: %zu points on a %u^3 grid (%.2f MB raw)\n",

@@ -16,9 +16,10 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
+#include "edgepcc/common/parse_number.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/metrics/quality.h"
@@ -28,16 +29,20 @@ int
 main(int argc, char **argv)
 {
     using namespace edgepcc;
-    const double target_kbit =
-        argc > 1 ? std::atof(argv[1]) : 300.0;
-    const int frames = argc > 2 ? std::atoi(argv[2]) : 12;
-    if (!(target_kbit > 0.0) || frames < 1) {
+    const std::optional<double> kbit_arg =
+        argc > 1 ? finiteNumber(argv[1]) : 300.0;
+    const std::optional<int> frame_arg =
+        argc > 2 ? wholeNumber<int>(argv[2]) : 12;
+    if (!kbit_arg || !(*kbit_arg > 0.0) || !frame_arg ||
+        *frame_arg < 1) {
         (void)std::fprintf(stderr,
                            "usage: rate_controlled_stream "
                            "[target_kbit_per_frame > 0] "
                            "[frames >= 1]\n");
         return 2;
     }
+    const double target_kbit = *kbit_arg;
+    const int frames = *frame_arg;
 
     VideoSpec spec;
     spec.name = "rate-controlled";

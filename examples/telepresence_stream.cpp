@@ -10,8 +10,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "edgepcc/common/parse_number.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
 #include "edgepcc/metrics/quality.h"
@@ -21,11 +22,17 @@ int
 main(int argc, char **argv)
 {
     using namespace edgepcc;
-    const int frames =
-        argc > 1 ? std::atoi(argv[1]) : 9;  // three IPP groups
-    const std::size_t points =
-        argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2]))
-                 : 80000;
+    const std::optional<int> frame_arg =
+        argc > 1 ? wholeNumber<int>(argv[1]) : 9;  // three IPP groups
+    const std::optional<std::size_t> point_arg =
+        argc > 2 ? wholeNumber<std::size_t>(argv[2]) : 80000;
+    if (!frame_arg || *frame_arg < 1 || !point_arg || *point_arg < 1) {
+        (void)std::fprintf(stderr, "usage: telepresence_stream "
+                                   "[frames >= 1] [points >= 1]\n");
+        return 2;
+    }
+    const int frames = *frame_arg;
+    const std::size_t points = *point_arg;
 
     VideoSpec spec;
     spec.name = "telepresence";

@@ -19,6 +19,7 @@
 #define EDGEPCC_CORE_CODEC_CONFIG_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,10 @@ CodecConfig makeIntraInterV2Config();
 
 /** All five, in the paper's presentation order. */
 std::vector<CodecConfig> allPaperConfigs();
+
+/** The design a command line names: tmc13, cwipc, intra, v1 or v2;
+ *  nothing for any other name. */
+std::optional<CodecConfig> paperConfigByName(const std::string &name);
 
 }  // namespace edgepcc
 

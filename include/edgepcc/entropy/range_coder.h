@@ -8,9 +8,8 @@
  * optionally enable it (paper Sec. IV-B3 measures that trade-off).
  *
  * The implementation is the classic LZMA-style encoder (64-bit low
- * with carry cache) paired with a Subbotin-style decoder, plus two
- * adaptive models: a 12-bit binary model and a Fenwick-tree 256-ary
- * byte model.
+ * with carry cache) paired with a Subbotin-style decoder, plus a
+ * Fenwick-tree adaptive 256-ary byte model.
  */
 
 #ifndef EDGEPCC_ENTROPY_RANGE_CODER_H
@@ -40,12 +39,6 @@ class RangeEncoder
      */
     void encodeSpan(std::uint32_t cum, std::uint32_t freq,
                     std::uint32_t total);
-
-    /**
-     * Encodes one bit against a 12-bit probability-of-zero state,
-     * updating the state adaptively (LZMA bit coder).
-     */
-    void encodeBit(std::uint16_t &prob, int bit);
 
     /** Flushes the final bytes; the encoder is dead afterwards. */
     void finish();
@@ -81,9 +74,6 @@ class RangeDecoder
 
     void decodeSpan(std::uint32_t cum, std::uint32_t freq);
 
-    /** Decodes one adaptive bit (mirror of encodeBit). */
-    int decodeBit(std::uint16_t &prob);
-
     /** True once the decoder consumed past the end (corrupt data). */
     bool overrun() const { return overrun_; }
 
@@ -105,9 +95,6 @@ class RangeDecoder
     std::uint32_t code_ = 0;
     bool overrun_ = false;
 };
-
-/** Initial probability for adaptive bit models (p(0) = 0.5). */
-constexpr std::uint16_t kBitModelInit = 1024;
 
 /**
  * Adaptive order-0 model over bytes, backed by a Fenwick tree so

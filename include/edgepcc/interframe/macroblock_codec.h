@@ -42,9 +42,6 @@ struct MacroBlockConfig {
      * I block.
      */
     double reuse_threshold = 18.0;
-
-    /** CPU threads the reference codec uses (paper: 4). */
-    int num_threads = 4;
 };
 
 /** Encoder statistics. */

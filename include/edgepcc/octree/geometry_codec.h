@@ -59,10 +59,10 @@ struct GeometryEncoded {
     int depth = 0;
 
     /**
-     * The cloud the attribute stage must consume: deduplicated,
-     * (requantized if tight_bbox) and permuted into the coded Morton
-     * order, colors carried along. The i-th decoded voxel corresponds
-     * to the i-th entry here.
+     * The cloud the attribute stage must consume: the input's first
+     * point of each voxel, permuted into the coded Morton order, with
+     * the input's coordinates and colors. The i-th decoded voxel
+     * corresponds to the i-th entry here.
      */
     VoxelCloud sorted_cloud;
 };

@@ -16,12 +16,6 @@
 
 namespace edgepcc {
 
-/** Traversal/serialization order of occupancy bytes. */
-enum class OctreeOrder : std::uint8_t {
-    kBreadthFirst = 0,  ///< level by level, codes ascending
-    kDepthFirst = 1,    ///< pre-order, children by ascending octant
-};
-
 /**
  * Flat level-ordered octree produced by the parallel builder,
  * matching the paper's "code array / parent array" output (Fig. 5).

@@ -167,7 +167,7 @@ struct SessionReport {
  * Decoder-side reassembly + degradation ladder.
  *
  * Thread-safe: ingest() may run on a network thread while the
- * session thread polls hasFrame()/hasSlice()/missingFrames(). All
+ * session thread polls hasFrame()/hasSlice(). All
  * reassembly state is guarded by one internal mutex (a receiver
  * handles one stream; cross-stream parallelism uses one receiver
  * per session). decodeAll() consumes the decoder state and is
@@ -190,11 +190,6 @@ class StreamReceiver
     /** True once slice `slice_index` of `frame_id` is buffered. */
     bool hasSlice(std::uint32_t frame_id,
                   std::uint16_t slice_index) const;
-
-    /** NACK list: frame ids in [0, expected_frames) with at least
-     *  one slice still missing. */
-    std::vector<std::uint32_t> missingFrames(
-        std::uint32_t expected_frames) const;
 
     /**
      * Decodes frames [0, expected_frames) in order, applying the

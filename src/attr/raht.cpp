@@ -12,9 +12,9 @@ namespace edgepcc {
 
 namespace {
 
-/** One output slot of a sub-level pass. */
+/** One output slot of a sub-level pass: two nodes of weights w1
+ *  and w2 merged, or (w2 == 0) one node of weight w1 carried up. */
 struct MergeEvent {
-    std::uint8_t merged = 0;
     std::uint32_t w1 = 0;
     std::uint32_t w2 = 0;
 };
@@ -23,6 +23,8 @@ struct MergeEvent {
 struct RahtSchedule {
     /** events[s] lists, in output order, what step s produced. */
     std::vector<std::vector<MergeEvent>> events;
+    /** step_merges[s] counts the merges among events[s]. */
+    std::vector<std::uint64_t> step_merges;
     std::uint64_t total_merges = 0;
     std::uint64_t total_walk = 0;
 };
@@ -39,6 +41,7 @@ computeSchedule(const std::vector<std::uint64_t> &leaf_codes,
     RahtSchedule schedule;
     const int steps = 3 * depth;
     schedule.events.resize(static_cast<std::size_t>(steps));
+    schedule.step_merges.resize(static_cast<std::size_t>(steps));
 
     std::vector<std::uint64_t> codes = leaf_codes;
     std::vector<std::uint32_t> weights(codes.size(), 1);
@@ -53,12 +56,12 @@ computeSchedule(const std::vector<std::uint64_t> &leaf_codes,
             MergeEvent event;
             if (i + 1 < n &&
                 (codes[i] >> 1) == (codes[i + 1] >> 1)) {
-                event.merged = 1;
                 event.w1 = weights[i];
                 event.w2 = weights[i + 1];
                 codes[out] = codes[i] >> 1;
                 weights[out] = weights[i] + weights[i + 1];
                 i += 2;
+                ++schedule.step_merges[static_cast<std::size_t>(s)];
                 ++schedule.total_merges;
             } else {
                 event.w1 = weights[i];
@@ -111,59 +114,43 @@ encodeRaht(const VoxelCloud &sorted_cloud, const RahtConfig &config,
 
     const int depth = sorted_cloud.gridBits();
     const int steps = 3 * depth;
+    const RahtSchedule schedule = computeSchedule(codes, depth);
 
-    // Active-node state; attrs evolve per channel.
-    std::vector<std::uint32_t> weights(n, 1);
+    // Forward pass: replay the schedule on the active nodes' attrs;
+    // each merge leaves its low-pass sum in the output slot and
+    // emits one high-pass coefficient per channel.
     std::vector<std::array<double, 3>> attrs(n);
     for (std::size_t i = 0; i < n; ++i) {
         attrs[i] = {static_cast<double>(sorted_cloud.r()[i]),
                     static_cast<double>(sorted_cloud.g()[i]),
                     static_cast<double>(sorted_cloud.b()[i])};
     }
-
     std::array<std::vector<std::int64_t>, 3> hc_q;
-    std::uint64_t total_walk = 0;
-    std::uint64_t total_merges = 0;
-    std::vector<std::uint64_t> per_step_merges(
-        static_cast<std::size_t>(steps), 0);
-
-    std::vector<std::uint64_t> cur_codes = codes;
-    std::size_t active = n;
-    for (int s = 0; s < steps; ++s) {
-        std::size_t out = 0;
+    for (const std::vector<MergeEvent> &events : schedule.events) {
         std::size_t i = 0;
-        while (i < active) {
-            if (i + 1 < active &&
-                (cur_codes[i] >> 1) == (cur_codes[i + 1] >> 1)) {
-                const double w1 = weights[i];
-                const double w2 = weights[i + 1];
-                const double inv = 1.0 / std::sqrt(w1 + w2);
-                const double s1 = std::sqrt(w1) * inv;
-                const double s2 = std::sqrt(w2) * inv;
-                for (int c = 0; c < 3; ++c) {
-                    const double a1 = attrs[i][c];
-                    const double a2 = attrs[i + 1][c];
-                    const double lc = s1 * a1 + s2 * a2;
-                    const double hc = -s2 * a1 + s1 * a2;
-                    attrs[out][c] = lc;
-                    hc_q[static_cast<std::size_t>(c)].push_back(
-                        quantize(hc, config.qstep));
-                }
-                cur_codes[out] = cur_codes[i] >> 1;
-                weights[out] = static_cast<std::uint32_t>(w1 + w2);
-                i += 2;
-                ++total_merges;
-                ++per_step_merges[static_cast<std::size_t>(s)];
-            } else {
+        for (std::size_t out = 0; out < events.size(); ++out) {
+            const MergeEvent &event = events[out];
+            if (event.w2 == 0) {
                 attrs[out] = attrs[i];
-                cur_codes[out] = cur_codes[i] >> 1;
-                weights[out] = weights[i];
                 i += 1;
+                continue;
             }
-            ++out;
+            const double w1 = event.w1;
+            const double w2 = event.w2;
+            const double inv = 1.0 / std::sqrt(w1 + w2);
+            const double s1 = std::sqrt(w1) * inv;
+            const double s2 = std::sqrt(w2) * inv;
+            for (int c = 0; c < 3; ++c) {
+                const double a1 = attrs[i][c];
+                const double a2 = attrs[i + 1][c];
+                const double lc = s1 * a1 + s2 * a2;
+                const double hc = -s2 * a1 + s1 * a2;
+                attrs[out][c] = lc;
+                hc_q[static_cast<std::size_t>(c)].push_back(
+                    quantize(hc, config.qstep));
+            }
+            i += 2;
         }
-        total_walk += active;
-        active = out;
     }
 
     recordKernel(recorder,
@@ -172,9 +159,9 @@ encodeRaht(const VoxelCloud &sorted_cloud, const RahtConfig &config,
                             .invocations =
                                 static_cast<std::uint64_t>(steps),
                             .items = n,
-                            .ops = total_walk * 6 +
-                                   total_merges * 60,
-                            .bytes = total_walk * 48});
+                            .ops = schedule.total_walk * 6 +
+                                   schedule.total_merges * 60,
+                            .bytes = schedule.total_walk * 48});
 
     // Serialize: per channel, DC then the HC stream, each varint
     // coded and entropy compressed with its own adaptive model.
@@ -185,12 +172,12 @@ encodeRaht(const VoxelCloud &sorted_cloud, const RahtConfig &config,
     writer.writeVarint(
         static_cast<std::uint64_t>(std::llround(config.qstep * 1000)));
     writer.writeVarint(n);
-    writer.writeVarint(total_merges);
+    writer.writeVarint(schedule.total_merges);
     // Per-step merge counts let the decoder verify that the
     // replayed merge structure matches the encoder's (a corrupted
     // or mismatched geometry would silently decode garbage
     // otherwise).
-    for (const std::uint64_t merges : per_step_merges)
+    for (const std::uint64_t merges : schedule.step_merges)
         writer.writeVarint(merges);
 
     std::uint64_t entropy_bytes_in = 0;
@@ -286,20 +273,17 @@ decodeRahtInto(ByteSpan payload, VoxelCloud &cloud,
         return corruptBitstream(
             "RAHT payload: merge structure mismatch");
 
+    if (schedule.step_merges != stored_step_merges)
+        return corruptBitstream(
+            "RAHT payload: per-step merge structure mismatch");
+
     // Per-step HC offsets in emission order.
     std::vector<std::uint64_t> hc_offset(
         static_cast<std::size_t>(steps) + 1, 0);
     for (int s = 0; s < steps; ++s) {
-        std::uint64_t merges = 0;
-        for (const MergeEvent &event :
-             schedule.events[static_cast<std::size_t>(s)]) {
-            merges += event.merged;
-        }
-        if (merges != stored_step_merges[static_cast<std::size_t>(s)])
-            return corruptBitstream(
-                "RAHT payload: per-step merge structure mismatch");
         hc_offset[static_cast<std::size_t>(s) + 1] =
-            hc_offset[static_cast<std::size_t>(s)] + merges;
+            hc_offset[static_cast<std::size_t>(s)] +
+            schedule.step_merges[static_cast<std::size_t>(s)];
     }
 
     // Inverse pass: start from the root (DC), expand downward.
@@ -321,7 +305,7 @@ decodeRahtInto(ByteSpan payload, VoxelCloud &cloud,
             hc_offset[static_cast<std::size_t>(s)];
         for (std::size_t j = 0; j < events.size(); ++j) {
             const MergeEvent &event = events[j];
-            if (event.merged) {
+            if (event.w2 != 0) {
                 const double w1 = event.w1;
                 const double w2 = event.w2;
                 const double inv = 1.0 / std::sqrt(w1 + w2);

@@ -83,4 +83,20 @@ allPaperConfigs()
             makeIntraInterV2Config()};
 }
 
+std::optional<CodecConfig>
+paperConfigByName(const std::string &name)
+{
+    if (name == "tmc13")
+        return makeTmc13LikeConfig();
+    if (name == "cwipc")
+        return makeCwipcLikeConfig();
+    if (name == "intra")
+        return makeIntraOnlyConfig();
+    if (name == "v1")
+        return makeIntraInterV1Config();
+    if (name == "v2")
+        return makeIntraInterV2Config();
+    return std::nullopt;
+}
+
 }  // namespace edgepcc

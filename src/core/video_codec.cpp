@@ -325,7 +325,7 @@ VideoEncoder::encodeImpl(const VoxelCloud &cloud)
     // Keep the reconstructed I frame as the prediction reference.
     if (!want_p && config_.inter_mode != InterMode::kNone) {
         ScopedTrace trace("encode.reference");
-        reference_ = sorted;
+        reference_ = std::move(geometry->sorted_cloud);
         const Status status = decodeIntraAttrInto(
             attr_kind, attr_payload, reference_, nullptr);
         if (!status.isOk())

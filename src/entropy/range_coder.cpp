@@ -9,9 +9,6 @@ namespace edgepcc {
 
 namespace {
 constexpr std::uint32_t kTopValue = 1u << 24;
-constexpr int kBitModelTotalBits = 11;
-constexpr std::uint32_t kBitModelTotal = 1u << kBitModelTotalBits;
-constexpr int kBitMoveBits = 5;
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -44,27 +41,6 @@ RangeEncoder::encodeSpan(std::uint32_t cum, std::uint32_t freq,
     range_ /= total;
     low_ += static_cast<std::uint64_t>(cum) * range_;
     range_ *= freq;
-    while (range_ < kTopValue) {
-        range_ <<= 8;
-        shiftLow();
-    }
-}
-
-void
-RangeEncoder::encodeBit(std::uint16_t &prob, int bit)
-{
-    const std::uint32_t bound =
-        (range_ >> kBitModelTotalBits) * prob;
-    if (bit == 0) {
-        range_ = bound;
-        prob = static_cast<std::uint16_t>(
-            prob + ((kBitModelTotal - prob) >> kBitMoveBits));
-    } else {
-        low_ += bound;
-        range_ -= bound;
-        prob = static_cast<std::uint16_t>(prob -
-                                          (prob >> kBitMoveBits));
-    }
     while (range_ < kTopValue) {
         range_ <<= 8;
         shiftLow();
@@ -129,28 +105,6 @@ RangeDecoder::decodeSpan(std::uint32_t cum, std::uint32_t freq)
     code_ -= cum * range_;
     range_ *= freq;
     normalize();
-}
-
-int
-RangeDecoder::decodeBit(std::uint16_t &prob)
-{
-    const std::uint32_t bound =
-        (range_ >> kBitModelTotalBits) * prob;
-    int bit;
-    if (code_ < bound) {
-        range_ = bound;
-        prob = static_cast<std::uint16_t>(
-            prob + ((kBitModelTotal - prob) >> kBitMoveBits));
-        bit = 0;
-    } else {
-        code_ -= bound;
-        range_ -= bound;
-        prob = static_cast<std::uint16_t>(prob -
-                                          (prob >> kBitMoveBits));
-        bit = 1;
-    }
-    normalize();
-    return bit;
 }
 
 // ---------------------------------------------------------------------

@@ -39,21 +39,52 @@ struct BoxParams {
     int original_depth = 0;  ///< gridBits of the input cloud
 };
 
-/** Collapses duplicate codes, keeping the first point's color. */
+/**
+ * The sorted, de-duplicated cloud in one pass over the sorted codes:
+ * the first point of each run of equal codes is gathered from
+ * `cloud`, the input. The radix sort is stable, so that point is the
+ * voxel's earliest input point and keeps its colour; gathering from
+ * the input also keeps its coordinates when the codes were computed
+ * on tight-bbox-shifted ones. Records the paper's gather and dedup
+ * kernels with their GPU work counts.
+ */
 VoxelCloud
-dedupeSorted(const VoxelCloud &sorted,
-             const std::vector<std::uint64_t> &codes,
-             WorkRecorder *recorder)
+uniqueInOrder(const VoxelCloud &cloud, const MortonOrder &order,
+              WorkRecorder *recorder)
 {
-    const std::size_t n = sorted.size();
-    VoxelCloud out(sorted.gridBits());
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i > 0 && codes[i] == codes[i - 1])
+    ScopedTrace trace("morton.gather");
+    const std::size_t n = order.codes.size();
+    const std::uint64_t *codes = order.codes.data();
+    const std::uint32_t *perm = order.perm.data();
+    VoxelCloud out(cloud.gridBits());
+    out.resize(n);
+    std::uint16_t *x = out.mutableX().data();
+    std::uint16_t *y = out.mutableY().data();
+    std::uint16_t *z = out.mutableZ().data();
+    std::uint8_t *r = out.mutableR().data();
+    std::uint8_t *g = out.mutableG().data();
+    std::uint8_t *b = out.mutableB().data();
+    std::size_t m = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        if (k != 0 && codes[k] == codes[k - 1])
             continue;
-        out.add(sorted.x()[i], sorted.y()[i], sorted.z()[i],
-                sorted.r()[i], sorted.g()[i], sorted.b()[i]);
+        const std::uint32_t src = perm[k];
+        x[m] = cloud.x()[src];
+        y[m] = cloud.y()[src];
+        z[m] = cloud.z()[src];
+        r[m] = cloud.r()[src];
+        g[m] = cloud.g()[src];
+        b[m] = cloud.b()[src];
+        ++m;
     }
+    out.resize(m);
+    recordKernel(recorder,
+                 KernelWork{.name = "morton.gather",
+                            .resource = ExecResource::kGpu,
+                            .invocations = 1,
+                            .items = n,
+                            .ops = n * 6,
+                            .bytes = n * 2 * 9});
     recordKernel(recorder,
                  KernelWork{.name = "geom.dedup",
                             .resource = ExecResource::kGpu,
@@ -173,9 +204,11 @@ encodeGeometry(const VoxelCloud &cloud, const GeometryConfig &config,
         flags |= kFlagTightBbox;
 
     // ----- Normalization (proposed pipeline only) -----------------
+    // The tree is built over `coded`: the input itself, or with the
+    // tight bbox a copy of its coordinates shifted into the cuboid.
     BoxParams box;
     box.original_depth = depth;
-    VoxelCloud working = cloud;  // coordinates possibly rewritten
+    VoxelCloud shifted(cloud.gridBits());
     if (tight) {
         ScopedStage stage(recorder, "geom.normalize");
         std::uint32_t lo[3] = {grid, grid, grid};
@@ -204,12 +237,13 @@ encodeGeometry(const VoxelCloud &cloud, const GeometryConfig &config,
         // Fit the tree to the cuboid: shift out the minimum and
         // shrink the depth to cover the largest extent.
         depth = std::max(1, bitWidth(max_extent));
+        shifted.resize(n);
         parallelFor(0, n, [&](std::size_t i) {
-            working.mutableX()[i] = static_cast<std::uint16_t>(
+            shifted.mutableX()[i] = static_cast<std::uint16_t>(
                 cloud.x()[i] - box.min[0]);
-            working.mutableY()[i] = static_cast<std::uint16_t>(
+            shifted.mutableY()[i] = static_cast<std::uint16_t>(
                 cloud.y()[i] - box.min[1]);
-            working.mutableZ()[i] = static_cast<std::uint16_t>(
+            shifted.mutableZ()[i] = static_cast<std::uint16_t>(
                 cloud.z()[i] - box.min[2]);
         });
         recordKernel(recorder,
@@ -220,111 +254,65 @@ encodeGeometry(const VoxelCloud &cloud, const GeometryConfig &config,
                                 .ops = n * 6,
                                 .bytes = n * 12});
     }
+    const VoxelCloud &coded = tight ? shifted : cloud;
     result.depth = depth;
 
+    std::vector<std::uint8_t> occupancy;
+    std::vector<std::uint8_t> contexts;
     if (parallel) {
         // ----- Morton generation + sort (Fig. 4c stage 1) ---------
         MortonOrder order;
         {
             ScopedStage stage(recorder, "geom.morton");
-            order = computeMortonOrder(working, recorder);
+            order = computeMortonOrder(coded, recorder);
         }
 
         // ----- Parallel octree construction ------------------------
-        VoxelCloud unique_cloud(cloud.gridBits());
-        std::vector<std::uint8_t> occupancy;
-        std::vector<std::uint8_t> contexts;
-        std::size_t num_voxels = 0;
-        {
-            ScopedStage stage(recorder, "geom.build");
-            VoxelCloud sorted =
-                applyOrder(working, order, recorder);
-            unique_cloud =
-                dedupeSorted(sorted, order.codes, recorder);
-            num_voxels = unique_cloud.size();
-            if (tight) {
-                // Shift back so sorted_cloud carries the original
-                // coordinates (order stays the shifted Morton
-                // order, matching the decoder's output order).
-                for (std::size_t i = 0; i < num_voxels; ++i) {
-                    unique_cloud.mutableX()[i] =
-                        static_cast<std::uint16_t>(
-                            unique_cloud.x()[i] + box.min[0]);
-                    unique_cloud.mutableY()[i] =
-                        static_cast<std::uint16_t>(
-                            unique_cloud.y()[i] + box.min[1]);
-                    unique_cloud.mutableZ()[i] =
-                        static_cast<std::uint16_t>(
-                            unique_cloud.z()[i] + box.min[2]);
-                }
-            }
-            std::vector<std::uint64_t> unique_codes;
-            unique_codes.reserve(num_voxels);
-            for (std::size_t i = 0; i < order.codes.size(); ++i) {
-                if (i == 0 || order.codes[i] != order.codes[i - 1])
-                    unique_codes.push_back(order.codes[i]);
-            }
-            auto tree =
-                buildParallelOctree(unique_codes, depth, recorder);
-            if (!tree)
-                return tree.status();
+        ScopedStage stage(recorder, "geom.build");
+        result.sorted_cloud = uniqueInOrder(cloud, order, recorder);
+        auto tree = buildParallelOctree(order.codes, depth, recorder);
+        if (!tree)
+            return tree.status();
 
-            // ----- Post processing (Algorithm 1 + stream) ----------
-            occupancy = occupancyFromFlatOctree(*tree, recorder);
-            if (config.contextual_entropy) {
-                // Parent occupancy byte of each branch node (the
-                // parents of branch nodes are branch nodes, so
-                // they index into `occupancy` directly).
-                contexts.resize(occupancy.size(), 0);
-                for (std::size_t i = 1; i < occupancy.size();
-                     ++i) {
-                    contexts[i] =
-                        occupancy[static_cast<std::size_t>(
-                            tree->parent[i])];
-                }
+        // ----- Post processing (Algorithm 1 + stream) --------------
+        occupancy = occupancyFromFlatOctree(*tree, recorder);
+        if (config.contextual_entropy) {
+            // Parent occupancy byte of each branch node (the parents
+            // of branch nodes are branch nodes, so they index into
+            // `occupancy` directly).
+            contexts.resize(occupancy.size(), 0);
+            for (std::size_t i = 1; i < occupancy.size(); ++i) {
+                contexts[i] =
+                    occupancy[static_cast<std::size_t>(
+                        tree->parent[i])];
             }
         }
+    } else {
+        // ----- Sequential baseline (Fig. 4a) -----------------------
         {
-            ScopedStage stage(recorder, "geom.post");
-            result.payload = assemblePayload(
-                flags, depth, num_voxels, tight ? &box : nullptr,
-                occupancy,
-                config.contextual_entropy ? &contexts : nullptr,
-                recorder);
+            const PointerOctree tree = [&] {
+                ScopedStage stage(recorder, "geom.build");
+                return buildSequentialOctree(coded, recorder);
+            }();
+            ScopedStage stage(recorder, "geom.serialize");
+            occupancy = serializeDepthFirst(
+                tree, recorder,
+                config.contextual_entropy ? &contexts : nullptr);
         }
-        result.num_voxels = num_voxels;
-        result.sorted_cloud = std::move(unique_cloud);
-        return result;
+        // The attribute stage needs the Morton-sorted unique cloud;
+        // in TMC13 this ordering falls out of the octree itself, so
+        // its cost is part of the RAHT calibration and is not
+        // recorded here.
+        result.sorted_cloud = uniqueInOrder(
+            cloud, computeMortonOrder(coded, nullptr), nullptr);
     }
-
-    // ----- Sequential baseline (Fig. 4a) ---------------------------
-    std::vector<std::uint8_t> occupancy;
-    std::vector<std::uint8_t> contexts;
-    {
-        const PointerOctree tree = [&] {
-            ScopedStage stage(recorder, "geom.build");
-            return buildSequentialOctree(working, recorder);
-        }();
-        ScopedStage stage(recorder, "geom.serialize");
-        occupancy = serializeDepthFirst(
-            tree, recorder,
-            config.contextual_entropy ? &contexts : nullptr);
-    }
-    // The attribute stage needs the Morton-sorted unique cloud; in
-    // TMC13 this ordering falls out of the octree itself, so its cost
-    // is part of the RAHT calibration and is not recorded here.
-    MortonOrder order = computeMortonOrder(working, nullptr);
-    VoxelCloud sorted = applyOrder(working, order, nullptr);
-    result.sorted_cloud = dedupeSorted(sorted, order.codes, nullptr);
     result.num_voxels = result.sorted_cloud.size();
 
-    {
-        ScopedStage stage(recorder, "geom.post");
-        result.payload = assemblePayload(
-            flags, depth, result.num_voxels, nullptr, occupancy,
-            config.contextual_entropy ? &contexts : nullptr,
-            recorder);
-    }
+    ScopedStage stage(recorder, "geom.post");
+    result.payload = assemblePayload(
+        flags, depth, result.num_voxels, tight ? &box : nullptr,
+        occupancy, config.contextual_entropy ? &contexts : nullptr,
+        recorder);
     return result;
 }
 

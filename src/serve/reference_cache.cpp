@@ -106,7 +106,6 @@ codecConfigDigest(const CodecConfig &config)
     hash = hashValue(config.macro_block.mb_bits, hash);
     hash = hashValue(config.macro_block.icp_iterations, hash);
     hash = hashValue(config.macro_block.reuse_threshold, hash);
-    hash = hashValue(config.macro_block.num_threads, hash);
     return hash;
 }
 

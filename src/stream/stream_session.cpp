@@ -167,18 +167,6 @@ StreamReceiver::hasSlice(std::uint32_t frame_id,
            it->second.slices.count(slice_index) != 0;
 }
 
-std::vector<std::uint32_t>
-StreamReceiver::missingFrames(std::uint32_t expected_frames) const
-{
-    MutexLock lock(mutex_);
-    std::vector<std::uint32_t> missing;
-    for (std::uint32_t id = 0; id < expected_frames; ++id) {
-        if (!frameCompleteLocked(id))
-            missing.push_back(id);
-    }
-    return missing;
-}
-
 WireScanStats
 StreamReceiver::wireStats() const
 {

@@ -9,6 +9,7 @@
 
 #include "edgepcc/common/rng.h"
 #include "edgepcc/morton/morton.h"
+#include "edgepcc/morton/morton_order.h"
 
 namespace edgepcc {
 namespace {
@@ -337,18 +338,106 @@ TEST(GeometryCodec, CompressesBelowRawSize)
     EXPECT_LT(encoded->payload.size(), cloud.size() * 12);
 }
 
+/**
+ * `n` distinct voxels away from the grid origin, about a fifth of
+ * them repeated later in the input under other colours.
+ */
+VoxelCloud
+cloudWithRepeats(std::uint64_t seed, std::size_t n)
+{
+    const VoxelCloud voxels = uniqueRandomCloud(seed, n, 5);
+    Rng rng(seed + 1);
+    VoxelCloud cloud(7);
+    const auto add = [&](std::size_t i, std::uint8_t flip) {
+        cloud.add(static_cast<std::uint16_t>(voxels.x()[i] + 37),
+                  static_cast<std::uint16_t>(voxels.y()[i] + 5),
+                  static_cast<std::uint16_t>(voxels.z()[i] + 70),
+                  static_cast<std::uint8_t>(voxels.r()[i] ^ flip),
+                  static_cast<std::uint8_t>(voxels.g()[i] ^ flip),
+                  static_cast<std::uint8_t>(voxels.b()[i] ^ flip));
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        add(i, 0);
+        if (rng.uniform() < 0.2)
+            add(static_cast<std::size_t>(rng.bounded(i + 1)), 0x80);
+    }
+    return cloud;
+}
+
+/**
+ * The cloud the attribute stage must get, built from the public
+ * Morton API: the coded cloud (shifted into its bounding box when
+ * `tight`) in Morton order, the first point of each run of equal
+ * codes, on the input's coordinates.
+ */
+VoxelCloud
+expectedSortedCloud(const VoxelCloud &cloud, bool tight)
+{
+    std::uint16_t lo[3] = {0, 0, 0};
+    if (tight) {
+        lo[0] = *std::min_element(cloud.x().begin(), cloud.x().end());
+        lo[1] = *std::min_element(cloud.y().begin(), cloud.y().end());
+        lo[2] = *std::min_element(cloud.z().begin(), cloud.z().end());
+    }
+    const auto shift = [](std::uint16_t v, int d) {
+        return static_cast<std::uint16_t>(v + d);
+    };
+    VoxelCloud coded = cloud;
+    for (std::size_t i = 0; i < coded.size(); ++i) {
+        coded.mutableX()[i] = shift(cloud.x()[i], -lo[0]);
+        coded.mutableY()[i] = shift(cloud.y()[i], -lo[1]);
+        coded.mutableZ()[i] = shift(cloud.z()[i], -lo[2]);
+    }
+    const MortonOrder order = computeMortonOrder(coded);
+    const VoxelCloud sorted = applyOrder(coded, order);
+    VoxelCloud expected(cloud.gridBits());
+    for (std::size_t k = 0; k < sorted.size(); ++k) {
+        if (k > 0 && order.codes[k] == order.codes[k - 1])
+            continue;
+        expected.add(shift(sorted.x()[k], lo[0]),
+                     shift(sorted.y()[k], lo[1]),
+                     shift(sorted.z()[k], lo[2]), sorted.r()[k],
+                     sorted.g()[k], sorted.b()[k]);
+    }
+    return expected;
+}
+
 TEST(GeometryCodec, DuplicateInputVoxelsCollapse)
 {
-    VoxelCloud cloud(5);
-    cloud.add(1, 2, 3, 10, 20, 30);
-    cloud.add(1, 2, 3, 40, 50, 60);
-    cloud.add(4, 5, 6, 70, 80, 90);
-    auto encoded = encodeGeometry(cloud, parallelConfig(false));
-    ASSERT_TRUE(encoded.hasValue());
-    EXPECT_EQ(encoded->num_voxels, 2u);
-    auto decoded = decodeGeometry(encoded->payload);
-    ASSERT_TRUE(decoded.hasValue());
-    EXPECT_EQ(decoded->size(), 2u);
+    const VoxelCloud cloud = cloudWithRepeats(57, 2000);
+    ASSERT_GT(cloud.size(), 2300u);
+    const std::pair<const char *, GeometryConfig> configs[] = {
+        {"parallel, tight bbox", parallelConfig(true)},
+        {"parallel", parallelConfig(false)},
+        {"sequential", sequentialConfig()},
+    };
+    for (const auto &[name, config] : configs) {
+        SCOPED_TRACE(name);
+        const bool tight =
+            config.builder ==
+                GeometryConfig::Builder::kParallelMorton &&
+            config.tight_bbox;
+        const VoxelCloud expected = expectedSortedCloud(cloud, tight);
+        ASSERT_EQ(expected.size(), 2000u);
+
+        auto encoded = encodeGeometry(cloud, config);
+        ASSERT_TRUE(encoded.hasValue());
+        EXPECT_EQ(encoded->num_voxels, expected.size());
+        const VoxelCloud &sorted = encoded->sorted_cloud;
+        EXPECT_EQ(sorted.gridBits(), cloud.gridBits());
+        EXPECT_EQ(sorted.x(), expected.x());
+        EXPECT_EQ(sorted.y(), expected.y());
+        EXPECT_EQ(sorted.z(), expected.z());
+        EXPECT_EQ(sorted.r(), expected.r());
+        EXPECT_EQ(sorted.g(), expected.g());
+        EXPECT_EQ(sorted.b(), expected.b());
+
+        auto decoded = decodeGeometry(encoded->payload);
+        ASSERT_TRUE(decoded.hasValue());
+        EXPECT_EQ(decoded->x(), expected.x());
+        EXPECT_EQ(decoded->y(), expected.y());
+        EXPECT_EQ(decoded->z(), expected.z());
+    }
 }
 
 TEST(GeometryCodec, CorruptMagicRejected)

@@ -97,39 +97,6 @@ TEST(RangeCoder, TruncatedStreamReportsCorruption)
               StatusCode::kCorruptBitstream);
 }
 
-TEST(RangeCoder, BitModelRoundtrip)
-{
-    Rng rng(46);
-    std::vector<int> bits(5000);
-    for (auto &bit : bits)
-        bit = rng.uniform() < 0.8 ? 0 : 1;
-
-    std::vector<std::uint8_t> out;
-    RangeEncoder encoder(out);
-    std::uint16_t enc_prob = kBitModelInit;
-    for (const int bit : bits)
-        encoder.encodeBit(enc_prob, bit);
-    encoder.finish();
-
-    RangeDecoder decoder(out);
-    std::uint16_t dec_prob = kBitModelInit;
-    for (const int bit : bits)
-        EXPECT_EQ(decoder.decodeBit(dec_prob), bit);
-    EXPECT_FALSE(decoder.overrun());
-}
-
-TEST(RangeCoder, BitModelSkewCompresses)
-{
-    std::vector<std::uint8_t> out;
-    RangeEncoder encoder(out);
-    std::uint16_t prob = kBitModelInit;
-    for (int i = 0; i < 80000; ++i)
-        encoder.encodeBit(prob, 0);
-    encoder.finish();
-    // 80k identical bits must collapse to a few hundred bytes.
-    EXPECT_LT(out.size(), 600u);
-}
-
 TEST(RangeCoder, SpanInterfaceRoundtrip)
 {
     // Direct span coding with a fixed 4-symbol model.

@@ -64,11 +64,11 @@
 #include <cmath>
 #include <concepts>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <span>
 #include <string>
@@ -78,6 +78,7 @@
 
 #include "edgepcc/attr/segment_codec.h"
 #include "edgepcc/common/crc32c.h"
+#include "edgepcc/common/parse_number.h"
 #include "edgepcc/common/rng.h"
 #include "edgepcc/common/timer.h"
 #include "edgepcc/common/trace.h"
@@ -1003,24 +1004,6 @@ runServe(const Options &opts)
 // Command line
 // -----------------------------------------------------------------
 
-CodecConfig
-configByName(const std::string &name, bool *ok)
-{
-    *ok = true;
-    if (name == "tmc13")
-        return makeTmc13LikeConfig();
-    if (name == "cwipc")
-        return makeCwipcLikeConfig();
-    if (name == "intra")
-        return makeIntraOnlyConfig();
-    if (name == "v1")
-        return makeIntraInterV1Config();
-    if (name == "v2")
-        return makeIntraInterV2Config();
-    *ok = false;
-    return CodecConfig{};
-}
-
 NetworkSpec
 networkByName(const std::string &name, bool *ok)
 {
@@ -1102,8 +1085,9 @@ usage()
 
 /**
  * Parses the value of numeric flag `flag` into `*out`. The whole
- * token must parse, land in [lo, hi], and carry no sign when T is
- * unsigned; otherwise prints a one-line reason and returns false.
+ * token must read as one number (a whole one that fits T, or a
+ * finite double; common/parse_number.h) and land in [lo, hi];
+ * otherwise prints a one-line reason and returns false.
  */
 template <typename T>
 bool
@@ -1112,12 +1096,13 @@ parseNumber(const std::string &flag, const char *text, T *out,
             std::type_identity_t<T> hi =
                 std::numeric_limits<T>::max())
 {
-    const char *end = text + std::strlen(text);
-    T value{};
-    const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec == std::errc() && ptr == end && value >= lo &&
-        value <= hi) {
-        *out = value;
+    std::optional<T> value;
+    if constexpr (std::is_floating_point_v<T>)
+        value = finiteNumber(text);
+    else
+        value = wholeNumber<T>(text);
+    if (value && *value >= lo && *value <= hi) {
+        *out = *value;
         return true;
     }
     char lo_text[32] = {};
@@ -1248,12 +1233,14 @@ parseOptions(int argc, char **argv, Options *opts)
         usage();
         return false;
     }
-    opts->config = configByName(names.config, &ok);
-    if (!ok) {
+    std::optional<CodecConfig> config =
+        paperConfigByName(names.config);
+    if (!config) {
         reject("unknown config '" + names.config + "'");
         usage();
         return false;
     }
+    opts->config = *std::move(config);
     return true;
 }
 

@@ -120,16 +120,8 @@ class Args
 Expected<CodecConfig>
 codecFromName(const std::string &name)
 {
-    if (name == "tmc13")
-        return makeTmc13LikeConfig();
-    if (name == "cwipc")
-        return makeCwipcLikeConfig();
-    if (name == "intra")
-        return makeIntraOnlyConfig();
-    if (name == "v1")
-        return makeIntraInterV1Config();
-    if (name == "v2")
-        return makeIntraInterV2Config();
+    if (std::optional<CodecConfig> config = paperConfigByName(name))
+        return *std::move(config);
     return invalidArgument(
         "unknown codec '" + name +
         "' (expected tmc13|cwipc|intra|v1|v2)");
