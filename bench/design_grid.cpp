@@ -168,7 +168,7 @@ printFig8c(const Grid &grid, double scale, int frames)
                 scale, frames);
     (void)std::printf("%-13s %-15s %10s %9s %9s %10s %10s %10s\n",
                 "Video", "Design", "size [MB]", "of raw",
-                "geom%%", "attr%%", "aPSNR dB", "gPSNR dB");
+                "geom%", "attr%", "aPSNR dB", "gPSNR dB");
     printRule(94);
     for (const auto &row : grid) {
         for (const VideoRunResult &r : row) {

@@ -10,7 +10,8 @@
  * candidate I-segments around its scaled position — no tree
  * traversal, no ICP. Candidates are scored with the 2-norm attribute
  * distance of paper Eq. 2 (the Diff_Squared / Squared_Sum kernels of
- * Fig. 9), one whole window per call of a SIMD-dispatched kernel
+ * Fig. 9) by a SIMD-dispatched kernel; its AVX2 variant scores 16
+ * candidates per step from a candidate-major copy of the reference
  * (docs/PERFORMANCE.md "Dispatch shim"). The sums are exact
  * integers at every level, so the payload is byte-identical to the
  * scalar reference's. Blocks whose best match clears the reuse

@@ -91,110 +91,283 @@ scoreWindowScalar(const VoxelCloud &p, std::size_t p_begin,
     }
 }
 
-#if EDGEPCC_SIMD_X86
+/** Candidates the vector window score takes per step. */
+constexpr std::size_t kGroup = 16;
 
-// The same sums on 16 x i16 lanes. Widened bytes differ by at most
-// 255, so each vpmaddwd pair sum and each 32-bit lane total over a
-// block of <= 32 pairs (32 * 3 * 255^2 < 2^31) is exact: the sums
-// equal the scalar ones, not approximate them.
+/**
+ * Largest K the vector window score takes. Its sums are exact far
+ * beyond this (a 32-bit lane holds at most 3 * 255^2 * K, below
+ * 2^31 for K <= 11008); 64 keeps the packed P-block on the stack
+ * and covers every automatic layout, which has K <= 31.
+ */
+constexpr std::size_t kMaxVectorK = 64;
 
-/** Zero-extends 16 colour bytes to 16 x i16. */
-__attribute__((target("avx2"))) inline __m256i
-widenAvx2(const std::uint8_t *bytes)
+/** Rows of the candidate-major layout at K points per block: K
+ *  red/green rows, then ceil(K / 2) blue-pair rows. */
+constexpr std::size_t
+candidateRowCount(std::size_t k)
 {
-    return _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(bytes)));
-}
-
-/** Squares of `p - widen(i)` for the lanes in `keep`, as 8 x i32
- *  pair sums. */
-__attribute__((target("avx2"))) inline __m256i
-squaredDiffAvx2(__m256i p, const std::uint8_t *i, __m256i keep)
-{
-    const __m256i d =
-        _mm256_and_si256(_mm256_sub_epi16(p, widenAvx2(i)), keep);
-    return _mm256_madd_epi16(d, d);
-}
-
-__attribute__((target("avx2"))) inline std::uint32_t
-horizontalSumAvx2(__m256i v)
-{
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                              _mm256_extracti128_si256(v, 1));
-    s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
-    return static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
+    return k + (k + 1) / 2;
 }
 
 /**
- * scoreWindowScalar for 16 <= kp <= 32. Pairs [0, 16) take one
- * load per channel; pairs [16, kp) take one load at kp - 16 that
- * overlaps the first, with the lanes already summed masked off. The
- * P-block is widened once per window. A candidate that is the short
- * last I-block (fewer than kp points) takes the scalar loop.
+ * The I-frame reference in candidate-major order, for the vector
+ * window score. Every row holds one u32 word per I-block, two i16
+ * lanes each:
+ *  - row j < K: point j, red in the low lane, green in the high;
+ *  - row K + jj: blue of points 2jj (low) and 2jj + 1 (high, 0 when
+ *    2jj + 1 == K).
+ * A row has `stride` = I-blocks + kGroup words, zero past the data,
+ * so a group of kGroup candidates never reads outside its row. The
+ * short last I-block's missing points read as zero too, so its sum
+ * is wrong and the caller rescores it. About 6 B per reference
+ * point. Empty (`words` null) when the vector path is off.
+ */
+struct CandidateRows {
+    const std::uint32_t *words = nullptr;
+    std::size_t stride = 0;
+    std::size_t count = 0;
+};
+
+/**
+ * Scratch of `count` Ts: carved from `arena` when one is bound,
+ * else held by `heap`, sized exactly so asan sees an overread.
+ */
+template <typename T>
+T *
+scratchArray(FrameArena *arena, std::vector<T> &heap,
+             std::size_t count)
+{
+    if (arena != nullptr)
+        return arena->allocateArray<T>(count);
+    heap.resize(count);
+    return heap.data();
+}
+
+#if EDGEPCC_SIMD_X86
+
+/**
+ * Writes the block of `n` <= K points at `begin` as one column of
+ * the CandidateRows layout: word `row` goes to out[row * step], and
+ * points n..K-1 read as zero.
+ */
+void
+packColumn(const VoxelCloud &cloud, std::size_t begin, std::size_t n,
+           std::size_t k, std::uint32_t *out, std::size_t step)
+{
+    const std::uint8_t *r = cloud.r().data() + begin;
+    const std::uint8_t *g = cloud.g().data() + begin;
+    const std::uint8_t *b = cloud.b().data() + begin;
+    const auto lane = [&](const std::uint8_t *channel,
+                          std::size_t j) -> std::uint32_t {
+        return j < n ? channel[j] : 0u;
+    };
+    for (std::size_t j = 0; j < k; ++j)
+        out[j * step] = lane(r, j) | lane(g, j) << 16;
+    for (std::size_t jj = 0; jj < (k + 1) / 2; ++jj)
+        out[(k + jj) * step] =
+            lane(b, 2 * jj) | lane(b, 2 * jj + 1) << 16;
+}
+
+/** Transposes `i` into CandidateRows: one packColumn per I-block,
+ *  then kGroup zero words closing every row. */
+CandidateRows
+transposeReference(const VoxelCloud &i, std::size_t k,
+                   FrameArena *arena,
+                   std::vector<std::uint32_t> &heap)
+{
+    const std::size_t ni = i.size();
+    const std::size_t i_blocks = (ni + k - 1) / k;
+    CandidateRows rows;
+    rows.stride = i_blocks + kGroup;
+    rows.count = candidateRowCount(k);
+    std::uint32_t *words =
+        scratchArray(arena, heap, rows.count * rows.stride);
+    for (std::size_t ib = 0; ib < i_blocks; ++ib) {
+        const std::size_t begin = ib * k;
+        packColumn(i, begin, std::min(k, ni - begin), k, words + ib,
+                   rows.stride);
+    }
+    for (std::size_t row = 0; row < rows.count; ++row) {
+        std::uint32_t *pad = words + row * rows.stride + i_blocks;
+        std::fill(pad, pad + kGroup, 0u);
+    }
+    rows.words = words;
+    return rows;
+}
+
+/**
+ * scoreWindowScalar for a full P-block (kp == K <= kMaxVectorK),
+ * kGroup candidates per step from `rows`. The P-block is packed
+ * like one I-block column and each of its words is broadcast; per
+ * row, `vpsubw`, `vpmaddwd` and `vpaddd` feed two 8 x u32
+ * accumulators, with no widening and no horizontal add. The sums
+ * are exact (kMaxVectorK). Writes whole groups, so `sums` holds the
+ * window's count rounded up to kGroup. The short last I-block's
+ * sum includes its zero padding; the dispatcher rescores it.
  */
 __attribute__((target("avx2"))) void
-scoreWindowAvx2(const VoxelCloud &p, std::size_t p_begin,
-                std::size_t kp, const VoxelCloud &i,
-                std::size_t k, Window window, std::uint64_t *sums)
+scoreCandidateRowsAvx2(const CandidateRows &rows,
+                       const VoxelCloud &p, std::size_t p_begin,
+                       std::size_t k, Window window,
+                       std::uint64_t *sums)
 {
-    const std::size_t tail = kp - 16;
-    const __m256i head_r = widenAvx2(p.r().data() + p_begin);
-    const __m256i head_g = widenAvx2(p.g().data() + p_begin);
-    const __m256i head_b = widenAvx2(p.b().data() + p_begin);
-    const __m256i tail_r = widenAvx2(p.r().data() + p_begin + tail);
-    const __m256i tail_g = widenAvx2(p.g().data() + p_begin + tail);
-    const __m256i tail_b = widenAvx2(p.b().data() + p_begin + tail);
-    // Lane j of the tail load is pair tail + j: new once >= 16.
-    const __m256i all = _mm256_set1_epi16(-1);
-    const __m256i keep_tail = _mm256_cmpgt_epi16(
-        _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                          13, 14, 15),
-        _mm256_set1_epi16(static_cast<std::int16_t>(15 - tail)));
-    for (std::size_t c = 0; c < window.count; ++c) {
-        const std::size_t block = window.start + c;
-        const std::size_t i_begin = block * k;
-        const std::size_t km = matchLength(kp, block, k, i.size());
-        if (km != kp) {
-            sums[c] = blockDiffSquared(p, p_begin, i, i_begin, km);
-            continue;
+    std::uint32_t packed[candidateRowCount(kMaxVectorK)];
+    packColumn(p, p_begin, k, k, packed, 1);
+    for (std::size_t c = 0; c < window.count; c += kGroup) {
+        const std::uint32_t *group = rows.words + window.start + c;
+        __m256i lo = _mm256_setzero_si256();
+        __m256i hi = _mm256_setzero_si256();
+        for (std::size_t row = 0; row < rows.count;
+             ++row, group += rows.stride) {
+            const __m256i pw =
+                _mm256_set1_epi32(static_cast<int>(packed[row]));
+            const __m256i d_lo = _mm256_sub_epi16(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(group)),
+                pw);
+            const __m256i d_hi = _mm256_sub_epi16(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(group + 8)),
+                pw);
+            lo = _mm256_add_epi32(lo, _mm256_madd_epi16(d_lo, d_lo));
+            hi = _mm256_add_epi32(hi, _mm256_madd_epi16(d_hi, d_hi));
         }
-        const std::uint8_t *r = i.r().data() + i_begin;
-        const std::uint8_t *g = i.g().data() + i_begin;
-        const std::uint8_t *b = i.b().data() + i_begin;
-        __m256i acc = _mm256_add_epi32(
-            _mm256_add_epi32(squaredDiffAvx2(head_r, r, all),
-                             squaredDiffAvx2(head_g, g, all)),
-            squaredDiffAvx2(head_b, b, all));
-        if (tail != 0) {
-            acc = _mm256_add_epi32(
-                acc,
-                _mm256_add_epi32(
-                    _mm256_add_epi32(
-                        squaredDiffAvx2(tail_r, r + tail, keep_tail),
-                        squaredDiffAvx2(tail_g, g + tail, keep_tail)),
-                    squaredDiffAvx2(tail_b, b + tail, keep_tail)));
-        }
-        sums[c] = horizontalSumAvx2(acc);
+        __m256i *out = reinterpret_cast<__m256i *>(sums + c);
+        _mm256_storeu_si256(
+            out, _mm256_cvtepu32_epi64(_mm256_castsi256_si128(lo)));
+        _mm256_storeu_si256(
+            out + 1,
+            _mm256_cvtepu32_epi64(_mm256_extracti128_si256(lo, 1)));
+        _mm256_storeu_si256(
+            out + 2,
+            _mm256_cvtepu32_epi64(_mm256_castsi256_si128(hi)));
+        _mm256_storeu_si256(
+            out + 3,
+            _mm256_cvtepu32_epi64(_mm256_extracti128_si256(hi, 1)));
     }
 }
 
 #endif  // EDGEPCC_SIMD_X86
 
-/** Dispatches on `level`, read once per encode by the caller. */
+/** Dispatches on `rows`, which exist only when the active level
+ *  reaches AVX2 and K <= kMaxVectorK. The short last P-block stays
+ *  scalar. */
 void
-scoreWindow(SimdLevel level, const VoxelCloud &p, std::size_t p_begin,
-            std::size_t kp, const VoxelCloud &i, std::size_t k,
-            Window window, std::uint64_t *sums)
+scoreWindow(const CandidateRows &rows, const VoxelCloud &p,
+            std::size_t p_begin, std::size_t kp, const VoxelCloud &i,
+            std::size_t k, Window window, std::uint64_t *sums)
 {
 #if EDGEPCC_SIMD_X86
-    if (level >= SimdLevel::kAvx2 && kp >= 16 && kp <= 32) {
-        scoreWindowAvx2(p, p_begin, kp, i, k, window, sums);
+    if (rows.words != nullptr && kp == k) {
+        scoreCandidateRowsAvx2(rows, p, p_begin, k, window, sums);
+        const std::size_t last = window.start + window.count - 1;
+        const std::size_t km = matchLength(kp, last, k, i.size());
+        if (km != kp)  // the short last I-block: drop its padding
+            sums[window.count - 1] =
+                blockDiffSquared(p, p_begin, i, last * k, km);
         return;
     }
 #endif
-    (void)level;
+    (void)rows;
     scoreWindowScalar(p, p_begin, kp, i, k, window, sums);
+}
+
+/** One P-block's entry in the match plan. */
+struct BlockMatch {
+    std::uint64_t sum = 0;     ///< the chosen I-block's Eq.-2 sum
+    std::uint32_t offset = 0;  ///< chosen I-block, from window.start
+    std::uint32_t km = 1;      ///< pairs `sum` covers (<= K, a u32)
+};
+
+/**
+ * The per-point rule of perPointMinimum when every candidate has
+ * km == kp: diff * kp < best * kp is diff < best, so the first
+ * minimum wins. One min pass, then one find pass.
+ */
+BlockMatch
+firstMinimum(const std::uint64_t *sums, std::size_t count,
+             std::size_t kp)
+{
+    std::uint64_t least = sums[0];
+    for (std::size_t c = 1; c < count; ++c)
+        least = std::min(least, sums[c]);
+    const auto offset = std::find(sums, sums + count, least) - sums;
+    return {least, static_cast<std::uint32_t>(offset),
+            static_cast<std::uint32_t>(kp)};
+}
+
+/** The candidate with the least sum per compared point, the first
+ *  on ties; for windows that hold the short last I-block. */
+BlockMatch
+perPointMinimum(const std::uint64_t *sums, Window window,
+                std::size_t kp, std::size_t k, std::size_t ni)
+{
+    BlockMatch best{sums[0], 0,
+                    static_cast<std::uint32_t>(
+                        matchLength(kp, window.start, k, ni))};
+    for (std::size_t c = 1; c < window.count; ++c) {
+        const std::size_t km =
+            matchLength(kp, window.start + c, k, ni);
+        // Normalize per point so short tail blocks compare fairly
+        // against full-size ones.
+        if (sums[c] * best.km < best.sum * km)
+            best = {sums[c], static_cast<std::uint32_t>(c),
+                    static_cast<std::uint32_t>(km)};
+    }
+    return best;
+}
+
+/**
+ * Fills plan[pb] with P-block pb's best match in its candidate
+ * window of I-blocks of `i` (K points each); returns the point
+ * pairs scored, the count the bm.* records price. At AVX2 and
+ * K <= kMaxVectorK the reference is first transposed into
+ * CandidateRows.
+ */
+std::uint64_t
+planMatches(const VoxelCloud &p, const SegmentLayout &p_layout,
+            const VoxelCloud &i, std::uint32_t window_size,
+            BlockMatch *plan)
+{
+    const std::size_t np = p.size();
+    const std::size_t ni = i.size();
+    const std::size_t k = p_layout.points_per_segment;
+    const std::size_t i_blocks = (ni + k - 1) / k;
+    const std::size_t p_blocks = p_layout.num_segments;
+    FrameArena *arena = currentFrameArena();
+    // One Eq.-2 sum per candidate of the current window, in whole
+    // vector groups; no window holds more candidates than there
+    // are I-blocks.
+    const std::size_t max_window =
+        std::min<std::size_t>(window_size, i_blocks);
+    std::vector<std::uint64_t> sums_heap;
+    std::uint64_t *sums = scratchArray(
+        arena, sums_heap, (max_window + kGroup - 1) / kGroup * kGroup);
+    CandidateRows rows;
+    std::vector<std::uint32_t> rows_heap;
+#if EDGEPCC_SIMD_X86
+    if (activeSimdLevel() >= SimdLevel::kAvx2 && k <= kMaxVectorK)
+        rows = transposeReference(i, k, arena, rows_heap);
+#endif
+
+    std::uint64_t comparisons = 0;
+    for (std::size_t pb = 0; pb < p_blocks; ++pb) {
+        const auto block = static_cast<std::uint32_t>(pb);
+        const std::size_t p_begin = p_layout.begin(block);
+        const std::size_t kp = p_layout.end(block, np) - p_begin;
+        const Window window =
+            candidateWindow(pb, p_blocks, i_blocks, window_size);
+        scoreWindow(rows, p, p_begin, kp, i, k, window, sums);
+        // Only the last I-block can be short.
+        const std::size_t km_last = matchLength(
+            kp, window.start + window.count - 1, k, ni);
+        comparisons += (window.count - 1) * kp + km_last;
+        plan[pb] = km_last == kp
+                       ? firstMinimum(sums, window.count, kp)
+                       : perPointMinimum(sums, window, kp, k, ni);
+    }
+    return comparisons;
 }
 
 constexpr const char kMagic[3] = {'I', 'N', 'T'};
@@ -233,69 +406,27 @@ encodeInterAttr(const VoxelCloud &p_sorted,
     result.stats.num_blocks =
         static_cast<std::uint32_t>(p_blocks);
 
-    std::vector<std::uint32_t> best_offset(p_blocks, 0);
+    // The plan outlives the match stage and stays on the heap: next
+    // to the candidate rows in the frame arena, it would need one
+    // more 1 MB arena block at 100k points.
+    std::vector<BlockMatch> plan(p_blocks);
     std::vector<std::uint8_t> reuse_flag(p_blocks, 0);
-
-    std::uint64_t total_comparisons = 0;
     std::uint64_t reused_points = 0;
 
     {
         ScopedStage stage(recorder, "inter.match");
-        // One Eq.-2 sum per candidate of the current window; no
-        // window holds more candidates than there are I-blocks.
-        const std::size_t max_window = std::min<std::size_t>(
-            config.candidate_window, i_blocks);
-        FrameArena *arena = currentFrameArena();
-        std::vector<std::uint64_t> sums_heap;
-        std::uint64_t *sums = nullptr;
-        if (arena != nullptr) {
-            sums = arena->allocateArray<std::uint64_t>(max_window);
-        } else {
-            sums_heap.resize(max_window);
-            sums = sums_heap.data();
-        }
-        const SimdLevel level = activeSimdLevel();
+        const std::uint64_t total_comparisons = planMatches(
+            p_sorted, p_layout, i_reference, config.candidate_window,
+            plan.data());
         for (std::size_t pb = 0; pb < p_blocks; ++pb) {
-            const std::size_t p_begin = p_layout.begin(
-                static_cast<std::uint32_t>(pb));
-            const std::size_t p_end = p_layout.end(
-                static_cast<std::uint32_t>(pb), np);
-            const std::size_t kp = p_end - p_begin;
-
-            const Window window = candidateWindow(
-                pb, p_blocks, i_blocks, config.candidate_window);
-            scoreWindow(level, p_sorted, p_begin, kp, i_reference, k,
-                        window, sums);
-
-            std::uint64_t best_diff = 0;
-            std::uint32_t best = 0;
-            std::size_t best_km = 1;
-            bool have_best = false;
-            for (std::size_t c = 0; c < window.count; ++c) {
-                const std::size_t km =
-                    matchLength(kp, window.start + c, k, ni);
-                if (km == 0)
-                    continue;
-                const std::uint64_t diff = sums[c];
-                total_comparisons += km;
-                // Normalize per point so short tail blocks compare
-                // fairly against full-size ones.
-                if (!have_best ||
-                    diff * best_km < best_diff * km) {
-                    best_diff = diff;
-                    best = static_cast<std::uint32_t>(c);
-                    best_km = km;
-                    have_best = true;
-                }
-            }
-            if (!have_best)
-                best_diff = ~std::uint64_t{0} / 2;
-            best_offset[pb] = best;
+            const std::size_t kp =
+                p_layout.end(static_cast<std::uint32_t>(pb), np) -
+                p_layout.begin(static_cast<std::uint32_t>(pb));
             const double per_point =
-                static_cast<double>(best_diff) /
-                static_cast<double>(best_km);
-            if (per_point <= config.reuse_threshold) {
-                reuse_flag[pb] = 1;
+                static_cast<double>(plan[pb].sum) /
+                static_cast<double>(plan[pb].km);
+            reuse_flag[pb] = per_point <= config.reuse_threshold;
+            if (reuse_flag[pb]) {
                 ++result.stats.reused_blocks;
                 reused_points += kp;
             } else {
@@ -347,7 +478,7 @@ encodeInterAttr(const VoxelCloud &p_sorted,
                 static_cast<std::uint32_t>(pb), np);
             const Window window = candidateWindow(
                 pb, p_blocks, i_blocks, config.candidate_window);
-            const std::size_t ib = window.start + best_offset[pb];
+            const std::size_t ib = window.start + plan[pb].offset;
             const std::size_t i_begin = ib * k;
             const std::size_t i_last =
                 std::min(ni, i_begin + k) - 1;
@@ -416,7 +547,7 @@ encodeInterAttr(const VoxelCloud &p_sorted,
         std::max(1, bitWidth(config.candidate_window - 1));
     for (std::size_t pb = 0; pb < p_blocks; ++pb) {
         writer.writeBits(reuse_flag[pb], 1);
-        writer.writeBits(best_offset[pb], ptr_bits);
+        writer.writeBits(plan[pb].offset, ptr_bits);
     }
     writer.writeBlock(delta_payload);
     result.payload = writer.take();

@@ -9,7 +9,9 @@
 #include <set>
 
 #include "edgepcc/common/rng.h"
+#include "edgepcc/entropy/bitstream.h"
 #include "edgepcc/morton/morton.h"
+#include "edgepcc/platform/simd.h"
 
 namespace edgepcc {
 namespace {
@@ -237,6 +239,104 @@ TEST(BlockMatcher, RecordsFigNineKernels)
     EXPECT_TRUE(kernel_names.count("bm.diff_squared"));
     EXPECT_TRUE(kernel_names.count("bm.squared_sum"));
     EXPECT_TRUE(kernel_names.count("bm.address_gen"));
+}
+
+/** Every block's pointer offset in a block-match payload: 3 magic
+ *  bytes and 4 varints (points, blocks, K, window), then per block
+ *  a reuse bit and a ptr_bits offset. */
+std::vector<std::uint32_t>
+pointerOffsets(const std::vector<std::uint8_t> &payload)
+{
+    BitReader reader(payload);
+    for (int byte = 0; byte < 3; ++byte)
+        (void)reader.readBits(8);
+    (void)reader.readVarint();
+    const std::uint64_t blocks = reader.readVarint();
+    (void)reader.readVarint();
+    const std::uint64_t window = reader.readVarint();
+    const int ptr_bits = std::max(1, bitWidth(window - 1));
+    std::vector<std::uint32_t> offsets;
+    for (std::uint64_t pb = 0; pb < blocks; ++pb) {
+        (void)reader.readBits(1);
+        offsets.push_back(
+            static_cast<std::uint32_t>(reader.readBits(ptr_bits)));
+    }
+    EXPECT_FALSE(reader.overrun());
+    return offsets;
+}
+
+/** `n` points painted `color`, in Morton order along x. */
+VoxelCloud
+paintedCloud(std::size_t n, Color color)
+{
+    VoxelCloud cloud(16);
+    for (std::size_t i = 0; i < n; ++i)
+        cloud.add(static_cast<std::uint16_t>(i), 0, 0, color.r,
+                  color.g, color.b);
+    return cloud;
+}
+
+/** Runs `body` with the scalar level forced, then at the active
+ *  level, so the argmin's rule is pinned whatever the dispatch. */
+template <typename Body>
+void
+atScalarAndActiveLevel(const Body &body)
+{
+    const SimdLevel active = activeSimdLevel();
+    for (const SimdLevel level : {SimdLevel::kScalar, active}) {
+        SCOPED_TRACE(simdLevelName(level));
+        setSimdLevelForTesting(level);
+        body();
+        clearSimdLevelForTesting();
+    }
+}
+
+TEST(BlockMatcher, AllTiedCandidatesPickTheFirst)
+{
+    // P and I are two constant shades, so every candidate of every
+    // window ties at the same non-zero sum per point. 300 blocks of
+    // K = 16 give windows of 100. Against the same-size reference
+    // every window is full-length; the shorter one ends in a short
+    // I-block, so the windows at the end compare per point.
+    constexpr std::size_t kPoints = 16 * 300;
+    const VoxelCloud p = paintedCloud(kPoints, Color{100, 100, 100});
+    const VoxelCloud i_full =
+        paintedCloud(kPoints, Color{90, 95, 105});
+    VoxelCloud i_short = i_full;
+    i_short.resize(kPoints - 9);
+    const VoxelCloud *references[] = {&i_full, &i_short};
+    atScalarAndActiveLevel([&] {
+        for (const VoxelCloud *i : references) {
+            auto encoded = encodeInterAttr(p, *i, defaultConfig());
+            ASSERT_TRUE(encoded.hasValue());
+            const std::vector<std::uint32_t> offsets =
+                pointerOffsets(encoded->payload);
+            ASSERT_EQ(offsets.size(), 300u);
+            for (std::size_t pb = 0; pb < offsets.size(); ++pb)
+                EXPECT_EQ(offsets[pb], 0u)
+                    << "block " << pb << " ni " << i->size();
+        }
+    });
+}
+
+TEST(BlockMatcher, ShortCandidateComparesPerPoint)
+{
+    // Three P-blocks of K = 17 against two full I-blocks and a
+    // short last one of a single point; every window holds all
+    // three. The full candidates are 4 off per point (68 in all),
+    // the short one 9 (9 in all). Its total is smaller but its
+    // per-point sum larger, so the first full candidate must win.
+    const VoxelCloud p = paintedCloud(51, Color{100, 100, 100});
+    VoxelCloud i = paintedCloud(35, Color{102, 100, 100});
+    i.setColor(34, Color{103, 100, 100});
+    BlockMatchConfig config = defaultConfig();
+    config.num_blocks = 3;
+    atScalarAndActiveLevel([&] {
+        auto encoded = encodeInterAttr(p, i, config);
+        ASSERT_TRUE(encoded.hasValue());
+        EXPECT_EQ(pointerOffsets(encoded->payload),
+                  (std::vector<std::uint32_t>{0, 0, 0}));
+    });
 }
 
 /** Sweep over block counts and windows. */

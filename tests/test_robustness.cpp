@@ -192,6 +192,7 @@ class RobustnessTest : public ::testing::Test
     /** Allocation-failure sweeps over the codec entry points: a
      *  failure that fires must surface as kResourceExhausted. */
     static void encodeSweep();
+    static void encodePFrameSweep();
     static void decodeSweep();
     static void decodePromotedSweep();
 
@@ -381,6 +382,55 @@ RobustnessTest::encodeSweep()
 }
 
 void
+RobustnessTest::encodePFrameSweep()
+{
+    // The inter coders run only on a P frame, after a clean I
+    // frame: fail each allocation of the P encode in turn, until
+    // one encode needs no more. After every failure the same
+    // encoder must produce the reference P frame.
+    for (const CodecConfig &config :
+         {makeIntraInterV1Config(), makeIntraInterV2Config(),
+          makeCwipcLikeConfig()}) {
+        VideoEncoder clean(config);
+        ASSERT_TRUE(clean.encode(frames_[0]).hasValue())
+            << config.name;
+        auto reference = clean.encode(frames_[1]);
+        ASSERT_TRUE(reference.hasValue()) << config.name;
+        ASSERT_EQ(reference->stats.type, Frame::Type::kPredicted)
+            << config.name;
+        for (std::int64_t after = 0;; ++after) {
+            VideoEncoder encoder(config);
+            ASSERT_TRUE(encoder.encode(frames_[0]).hasValue())
+                << config.name;
+            bool fired = false;
+            auto encoded = [&] {
+                ScopedAllocFailure arm(after);
+                auto result = encoder.encode(frames_[1]);
+                fired = arm.fired();
+                return result;
+            }();
+            if (!fired) {
+                ASSERT_TRUE(encoded.hasValue())
+                    << config.name << " after=" << after;
+                EXPECT_EQ(encoded->bitstream, reference->bitstream)
+                    << config.name << " after=" << after;
+                break;
+            }
+            ASSERT_FALSE(encoded.hasValue())
+                << config.name << " after=" << after;
+            EXPECT_EQ(encoded.status().code(),
+                      StatusCode::kResourceExhausted)
+                << config.name << " after=" << after;
+            auto retried = encoder.encode(frames_[1]);
+            ASSERT_TRUE(retried.hasValue())
+                << config.name << " after=" << after;
+            EXPECT_EQ(retried->bitstream, reference->bitstream)
+                << config.name << " after=" << after;
+        }
+    }
+}
+
+void
 RobustnessTest::decodeSweep()
 {
     VideoEncoder encoder(makeIntraInterV1Config());
@@ -457,6 +507,11 @@ RobustnessTest::decodePromotedSweep()
 TEST_F(RobustnessTest, EncodeReturnsStatusOnAllocFailure)
 {
     encodeSweep();
+}
+
+TEST_F(RobustnessTest, EncodePFrameReturnsStatusOnAllocFailure)
+{
+    encodePFrameSweep();
 }
 
 TEST_F(RobustnessTest, DecodeReturnsStatusOnAllocFailure)

@@ -358,13 +358,17 @@ encodeMatch(const VoxelCloud &p, const VoxelCloud &i,
 
 TEST(SimdEquivalence, BlockMatchIdenticalAcrossLevels)
 {
-    // Every block length K from 1 to 40 (n >= 40 * 39 makes each
-    // reachable) plus one whole-cloud block, each against a
+    // Every block length K from 1 to 65, one past the largest K
+    // the vector window score takes (kMaxVectorK = 64 in
+    // src/interframe/block_matcher.cpp; n >= 65 * 64 makes each
+    // reachable), plus one whole-cloud block, each against a
     // same-size reference and a shorter one whose last I-block is
-    // short.
-    constexpr std::size_t kPoints = 1600;
+    // short. A window of 17 is one vector group and one mostly
+    // padded group.
+    constexpr std::size_t kMaxK = 65;
+    constexpr std::size_t kPoints = kMaxK * (kMaxK - 1);
     std::vector<std::uint32_t> block_counts{1};
-    for (std::size_t k = 1; k <= 40; ++k) {
+    for (std::size_t k = 1; k <= kMaxK; ++k) {
         const auto blocks =
             static_cast<std::uint32_t>((kPoints + k - 1) / k);
         SegmentCodecConfig layout;
@@ -374,7 +378,7 @@ TEST(SimdEquivalence, BlockMatchIdenticalAcrossLevels)
                   k);
         block_counts.push_back(blocks);
     }
-    const std::uint32_t windows[] = {1, 3, 100, 0xffffffffu};
+    const std::uint32_t windows[] = {1, 3, 17, 100, 0xffffffffu};
 
     for (int mode = 0; mode < 3; ++mode) {
         // Mode 1 paints P and I different constant shades, so every
@@ -415,7 +419,11 @@ TEST(SimdEquivalence, BlockMatchIdenticalAcrossLevels)
                         ScopedSimdLevel forced(SimdLevel::kScalar);
                         reference = encodeMatch(p, *i, config);
                     }
+                    // The scalar run above is the reference; the
+                    // wider levels are compared against it.
                     for (const SimdLevel level : forceableLevels()) {
+                        if (level == SimdLevel::kScalar)
+                            continue;
                         ScopedSimdLevel forced(level);
                         EXPECT_EQ(encodeMatch(p, *i, config),
                                   reference)
