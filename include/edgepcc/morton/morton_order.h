@@ -46,9 +46,6 @@ VoxelCloud applyOrder(const VoxelCloud &cloud,
                       const MortonOrder &order,
                       WorkRecorder *recorder = nullptr);
 
-/** True when `codes` is non-decreasing. */
-bool isSorted(const std::vector<std::uint64_t> &codes);
-
 }  // namespace edgepcc
 
 #endif  // EDGEPCC_MORTON_MORTON_ORDER_H

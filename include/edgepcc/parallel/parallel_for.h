@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
 
 #include "edgepcc/parallel/thread_pool.h"
 
@@ -94,24 +93,6 @@ parallelForChunks(std::size_t begin, std::size_t end, const Body &body,
                   std::size_t grain = 1024)
 {
     detail::forEachChunk(begin, end, body, pool, grain);
-}
-
-/**
- * Exclusive prefix sum over `values` (sequential; the device model
- * charges it as a log-depth GPU scan).
- * @return total sum.
- */
-template <typename T>
-T
-exclusiveScan(std::vector<T> &values)
-{
-    T running{};
-    for (auto &value : values) {
-        T next = running + value;
-        value = running;
-        running = next;
-    }
-    return running;
 }
 
 }  // namespace edgepcc

@@ -111,6 +111,21 @@ class FrameArena
  */
 FrameArena *currentFrameArena();
 
+/**
+ * Scratch of `count` Ts: carved from `arena` when one is bound,
+ * else held by `heap`, sized exactly so asan sees an overread.
+ */
+template <typename T>
+T *
+scratchArray(FrameArena *arena, std::vector<T> &heap,
+             std::size_t count)
+{
+    if (arena != nullptr)
+        return arena->allocateArray<T>(count);
+    heap.resize(count);
+    return heap.data();
+}
+
 /** RAII binding of `arena` as the thread's current frame arena
  *  (restores the previous binding on destruction). The encoder and
  *  decoder entry points bind their member arena around each frame. */

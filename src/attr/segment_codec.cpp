@@ -116,15 +116,9 @@ encodeSegmentAttr(const AttrChannels &channels,
     // 64-bit because a residual against the mid-range of two int32
     // extremes needs 33 bits.
     const std::size_t max_segment = layout.points_per_segment;
-    FrameArena *arena = currentFrameArena();
     std::vector<std::int64_t> quantized_heap;
-    std::int64_t *quantized = nullptr;
-    if (arena != nullptr) {
-        quantized = arena->allocateArray<std::int64_t>(max_segment);
-    } else {
-        quantized_heap.resize(max_segment);
-        quantized = quantized_heap.data();
-    }
+    std::int64_t *quantized = scratchArray(
+        currentFrameArena(), quantized_heap, max_segment);
     for (std::uint32_t s = 0; s < layout.num_segments; ++s) {
         const std::size_t lo = layout.begin(s);
         const std::size_t hi = layout.end(s, n);

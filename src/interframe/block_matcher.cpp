@@ -129,21 +129,6 @@ struct CandidateRows {
     std::size_t count = 0;
 };
 
-/**
- * Scratch of `count` Ts: carved from `arena` when one is bound,
- * else held by `heap`, sized exactly so asan sees an overread.
- */
-template <typename T>
-T *
-scratchArray(FrameArena *arena, std::vector<T> &heap,
-             std::size_t count)
-{
-    if (arena != nullptr)
-        return arena->allocateArray<T>(count);
-    heap.resize(count);
-    return heap.data();
-}
-
 #if EDGEPCC_SIMD_X86
 
 /**

@@ -83,14 +83,4 @@ applyOrder(const VoxelCloud &cloud, const MortonOrder &order,
     return out;
 }
 
-bool
-isSorted(const std::vector<std::uint64_t> &codes)
-{
-    for (std::size_t i = 1; i < codes.size(); ++i) {
-        if (codes[i - 1] > codes[i])
-            return false;
-    }
-    return true;
-}
-
 }  // namespace edgepcc

@@ -95,6 +95,41 @@ uniqueInOrder(const VoxelCloud &cloud, const MortonOrder &order,
     return out;
 }
 
+/**
+ * The contextual coder's context rule, shared by encoder and
+ * decoder: a node's context is its parent's occupancy byte. Given
+ * the `n` bytes of one breadth-first level, writes the contexts of
+ * the next level's nodes in order (each byte once per child it has)
+ * and returns the end of what it wrote.
+ */
+std::uint8_t *
+childContexts(const std::uint8_t *level, std::size_t n,
+              std::uint8_t *out)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out = std::fill_n(out, std::popcount(level[i]), level[i]);
+    return out;
+}
+
+/** Every branch node's context, breadth-first; the root's is 0. */
+std::vector<std::uint8_t>
+breadthFirstContexts(const std::vector<std::uint8_t> &occupancy)
+{
+    std::vector<std::uint8_t> contexts(occupancy.size(), 0);
+    // [begin, end) is the level whose children get contexts next;
+    // the last branch level's children are leaves, which have none.
+    std::size_t begin = 0;
+    std::size_t end = 1;
+    while (end < occupancy.size()) {
+        const std::uint8_t *next =
+            childContexts(occupancy.data() + begin, end - begin,
+                          contexts.data() + end);
+        begin = end;
+        end = static_cast<std::size_t>(next - contexts.data());
+    }
+    return contexts;
+}
+
 void
 writeHeader(BitWriter &writer, std::uint8_t flags, int depth,
             std::size_t num_voxels, const BoxParams *box)
@@ -270,23 +305,12 @@ encodeGeometry(const VoxelCloud &cloud, const GeometryConfig &config,
         // ----- Parallel octree construction ------------------------
         ScopedStage stage(recorder, "geom.build");
         result.sorted_cloud = uniqueInOrder(cloud, order, recorder);
-        auto tree = buildParallelOctree(order.codes, depth, recorder);
-        if (!tree)
-            return tree.status();
-
-        // ----- Post processing (Algorithm 1 + stream) --------------
-        occupancy = occupancyFromFlatOctree(*tree, recorder);
-        if (config.contextual_entropy) {
-            // Parent occupancy byte of each branch node (the parents
-            // of branch nodes are branch nodes, so they index into
-            // `occupancy` directly).
-            contexts.resize(occupancy.size(), 0);
-            for (std::size_t i = 1; i < occupancy.size(); ++i) {
-                contexts[i] =
-                    occupancy[static_cast<std::size_t>(
-                        tree->parent[i])];
-            }
-        }
+        auto built = buildParallelOctree(order.codes, depth, recorder);
+        if (!built)
+            return built.status();
+        occupancy = built.takeValue();
+        if (config.contextual_entropy)
+            contexts = breadthFirstContexts(occupancy);
     } else {
         // ----- Sequential baseline (Fig. 4a) -----------------------
         {
@@ -545,11 +569,7 @@ expandBreadthFirst(const ParsedHeader &header)
         }
         if (contextual) {
             parent_bytes.resize(children);
-            std::uint8_t *parent = parent_bytes.data();
-            for (std::size_t i = 0; i < n; ++i)
-                parent = std::fill_n(parent,
-                                     std::popcount(occupancy[i]),
-                                     occupancy[i]);
+            childContexts(occupancy, n, parent_bytes.data());
         }
         codes.swap(next_codes);
     }

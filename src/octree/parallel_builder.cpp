@@ -1,168 +1,132 @@
 #include "edgepcc/octree/parallel_builder.h"
 
-#include <cassert>
+#include <array>
 
 #include "edgepcc/common/trace.h"
 #include "edgepcc/morton/morton.h"
-#include "edgepcc/parallel/parallel_for.h"
+#include "edgepcc/platform/arena.h"
 
 namespace edgepcc {
 
 namespace {
 
-/** Removes adjacent duplicates from a sorted code array.
- *  Flag + scan + gather, the GPU formulation of std::unique. */
-std::vector<std::uint64_t>
-uniqueSorted(const std::vector<std::uint64_t> &codes,
-             std::uint64_t *ops_accum)
+/** What one sweep found. */
+struct Sweep {
+    std::size_t parents = 0;   ///< nodes of the level above
+    std::size_t distinct = 0;  ///< codes unequal to their predecessor
+    bool descending = false;   ///< some code below its predecessor
+};
+
+/**
+ * The run-boundary sweep over one level's `n` ascending codes: each
+ * run of equal `code >> 3` becomes one node of the level above,
+ * whose code goes to `parents` and whose occupancy byte collects bit
+ * `code & 7` of every child; a repeated code only sets its bit
+ * again. The loop is branch-free: every child rewrites its parent's
+ * slot. `parents` may be `codes` itself, since no slot past child
+ * i's index is written before child i is read.
+ */
+Sweep
+sweepLevel(const std::uint64_t *codes, std::size_t n,
+           std::uint64_t *parents, std::uint8_t *bytes)
 {
-    const std::size_t n = codes.size();
-    std::vector<std::uint32_t> flags(n);
-    parallelFor(0, n, [&](std::size_t i) {
-        flags[i] = (i == 0 || codes[i] != codes[i - 1]) ? 1u : 0u;
-    });
-    std::vector<std::uint32_t> offsets = flags;
-    const std::uint32_t unique_count = exclusiveScan(offsets);
-    std::vector<std::uint64_t> out(unique_count);
-    parallelFor(0, n, [&](std::size_t i) {
-        if (flags[i])
-            out[offsets[i]] = codes[i];
-    });
-    *ops_accum += n * 4;
-    return out;
+    Sweep sweep;
+    std::uint64_t previous = codes[0];
+    std::size_t slot = 0;  // the parent being filled
+    std::uint8_t byte = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t code = codes[i];
+        const bool fresh = (code >> 3) != (previous >> 3);
+        sweep.distinct += i == 0 || code != previous;
+        sweep.descending |= code < previous;
+        previous = code;
+        slot += fresh;
+        byte = static_cast<std::uint8_t>((fresh ? 0u : byte) |
+                                         1u << (code & 7));
+        parents[slot] = code >> 3;
+        bytes[slot] = byte;
+    }
+    sweep.parents = slot + 1;
+    return sweep;
 }
 
 }  // namespace
 
-Expected<FlatOctree>
+Expected<std::vector<std::uint8_t>>
 buildParallelOctree(const std::vector<std::uint64_t> &sorted_codes,
                     int depth, WorkRecorder *recorder)
 {
-    if (sorted_codes.empty())
+    const std::size_t n = sorted_codes.size();
+    if (n == 0)
         return invalidArgument("buildParallelOctree: no codes");
     if (depth < 1 || depth > kMaxMortonBitsPerAxis)
         return invalidArgument("buildParallelOctree: bad depth");
-    for (std::size_t i = 1; i < sorted_codes.size(); ++i) {
-        if (sorted_codes[i - 1] > sorted_codes[i])
-            return invalidArgument(
-                "buildParallelOctree: codes not sorted");
-    }
-
-    std::uint64_t ops = 0;
 
     ScopedTrace levels_trace("octree.build_levels");
-    // Per-level code arrays, leaves (level == depth) first.
-    std::vector<std::vector<std::uint64_t>> levels(
-        static_cast<std::size_t>(depth) + 1);
-    levels[static_cast<std::size_t>(depth)] =
-        uniqueSorted(sorted_codes, &ops);
+    FrameArena local_arena;
+    FrameArena *arena = currentFrameArena();
+    if (arena == nullptr)
+        arena = &local_arena;
 
-    for (int level = depth - 1; level >= 0; --level) {
-        const auto &below =
-            levels[static_cast<std::size_t>(level) + 1];
-        std::vector<std::uint64_t> shifted(below.size());
-        parallelFor(0, below.size(), [&](std::size_t i) {
-            shifted[i] = below[i] >> 3;
-        });
-        ops += below.size();
-        levels[static_cast<std::size_t>(level)] =
-            uniqueSorted(shifted, &ops);
+    // Level l's occupancy bytes, l < depth. The first sweep reads
+    // the leaves; each later one runs in place over `codes`, which
+    // holds the level below.
+    struct Level {
+        const std::uint8_t *bytes = nullptr;
+        std::size_t size = 0;
+    };
+    std::array<Level, kMaxMortonBitsPerAxis> levels;
+    std::uint64_t *codes = arena->allocateArray<std::uint64_t>(n);
+    std::uint8_t *bytes = arena->allocateArray<std::uint8_t>(n);
+    const Sweep leaves =
+        sweepLevel(sorted_codes.data(), n, codes, bytes);
+    if (leaves.descending)
+        return invalidArgument(
+            "buildParallelOctree: codes not sorted");
+    std::size_t size = leaves.parents;
+    levels[static_cast<std::size_t>(depth) - 1] = {bytes, size};
+    std::size_t branch_nodes = size;
+    for (int level = depth - 2; level >= 0; --level) {
+        bytes = arena->allocateArray<std::uint8_t>(size);
+        size = sweepLevel(codes, size, codes, bytes).parents;
+        levels[static_cast<std::size_t>(level)] = {bytes, size};
+        branch_nodes += size;
     }
-    assert(levels[0].size() == 1 && "root level must be singular");
+    if (size != 1 || codes[0] != 0)
+        return invalidArgument(
+            "buildParallelOctree: codes wider than the depth");
 
-    FlatOctree tree;
-    tree.depth = depth;
-    tree.level_offsets.resize(static_cast<std::size_t>(depth) + 2);
-    std::size_t total = 0;
-    for (int level = 0; level <= depth; ++level) {
-        tree.level_offsets[static_cast<std::size_t>(level)] =
-            static_cast<std::uint32_t>(total);
-        total += levels[static_cast<std::size_t>(level)].size();
-    }
-    tree.level_offsets.back() = static_cast<std::uint32_t>(total);
-
-    tree.codes.resize(total);
-    tree.parent.assign(total, -1);
-    for (int level = 0; level <= depth; ++level) {
-        const auto &codes =
-            levels[static_cast<std::size_t>(level)];
-        const std::size_t base =
-            tree.level_offsets[static_cast<std::size_t>(level)];
-        parallelFor(0, codes.size(), [&](std::size_t i) {
-            tree.codes[base + i] = codes[i];
-        });
-    }
-
+    // Work counts of the GPU formulation: per level a flag, scan and
+    // gather over the level below, then a parent-link scan.
+    const std::size_t total = branch_nodes + leaves.distinct;
     recordKernel(recorder,
                  KernelWork{.name = "octree.par_levels",
                             .resource = ExecResource::kGpu,
                             .invocations =
                                 static_cast<std::uint64_t>(depth) + 1,
                             .items = total,
-                            .ops = ops,
+                            .ops = n * 4 + (total - 1) * 5,
                             .bytes = total * 8 * 3});
-    levels_trace.stop();
-
-    ScopedTrace parents_trace("octree.link_parents");
-    // Parent linking: node i at level l has parent code[i] >> 3 at
-    // level l-1. Within a level the parent's local index equals the
-    // number of parent-run boundaries seen so far (a scan).
-    std::uint64_t parent_ops = 0;
-    for (int level = 1; level <= depth; ++level) {
-        const std::size_t lo =
-            tree.level_offsets[static_cast<std::size_t>(level)];
-        const std::size_t hi =
-            tree.level_offsets[static_cast<std::size_t>(level) + 1];
-        const std::size_t parent_base =
-            tree.level_offsets[static_cast<std::size_t>(level) - 1];
-        std::vector<std::uint32_t> boundary(hi - lo);
-        parallelFor(0, hi - lo, [&](std::size_t i) {
-            const std::uint64_t parent_code =
-                tree.codes[lo + i] >> 3;
-            boundary[i] =
-                (i == 0 ||
-                 (tree.codes[lo + i - 1] >> 3) != parent_code)
-                    ? 1u
-                    : 0u;
-        });
-        std::vector<std::uint32_t> scanned = boundary;
-        exclusiveScan(scanned);
-        parallelFor(0, hi - lo, [&](std::size_t i) {
-            // Inclusive scan minus one = local parent index.
-            const std::uint32_t local = scanned[i] + boundary[i] - 1;
-            tree.parent[lo + i] = static_cast<std::int32_t>(
-                parent_base + local);
-        });
-        parent_ops += (hi - lo) * 6;
-    }
     recordKernel(recorder,
                  KernelWork{.name = "octree.par_parents",
                             .resource = ExecResource::kGpu,
                             .invocations =
                                 static_cast<std::uint64_t>(depth),
                             .items = total,
-                            .ops = parent_ops,
+                            .ops = (total - 1) * 6,
                             .bytes = total * 12});
+    levels_trace.stop();
 
-    return tree;
-}
-
-std::vector<std::uint8_t>
-occupancyFromFlatOctree(const FlatOctree &tree, WorkRecorder *recorder)
-{
-    ScopedTrace trace("octree.occupancy_merge");
-    const std::size_t branch_count = tree.numBranchNodes();
-    std::vector<std::uint8_t> occupancy(branch_count, 0);
-    // Paper Algorithm 1: every non-root node contributes one bit to
-    // its parent's occupancy byte. Parents of consecutive nodes can
-    // coincide, so this merge runs as an atomic-OR GPU kernel on
-    // device; functionally a single pass here.
-    const std::size_t total = tree.numNodes();
-    for (std::size_t i = 1; i < total; ++i) {
-        const auto parent =
-            static_cast<std::size_t>(tree.parent[i]);
-        occupancy[parent] |= static_cast<std::uint8_t>(
-            1u << (tree.codes[i] & 7));
+    // Paper Algorithm 1 merges every non-root node's bit into its
+    // parent's byte, an atomic-OR kernel on device; the sweeps did
+    // that, so what is left is laying the levels out root first.
+    ScopedTrace merge_trace("octree.occupancy_merge");
+    std::vector<std::uint8_t> occupancy;
+    occupancy.reserve(branch_nodes);
+    for (int level = 0; level < depth; ++level) {
+        const Level &row = levels[static_cast<std::size_t>(level)];
+        occupancy.insert(occupancy.end(), row.bytes,
+                         row.bytes + row.size);
     }
     recordKernel(recorder,
                  KernelWork{.name = "octree.occupancy_merge",

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "edgepcc/common/rng.h"
 #include "edgepcc/morton/morton_order.h"
 
@@ -115,7 +117,8 @@ TEST(MortonOrder, CodesAreSorted)
     const MortonOrder order = computeMortonOrder(cloud);
     EXPECT_EQ(order.codes.size(), cloud.size());
     EXPECT_EQ(order.depth, cloud.gridBits());
-    EXPECT_TRUE(isSorted(order.codes));
+    EXPECT_TRUE(
+        std::is_sorted(order.codes.begin(), order.codes.end()));
 }
 
 TEST(MortonOrder, PermIsAPermutation)

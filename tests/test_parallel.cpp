@@ -18,6 +18,7 @@
 #include "edgepcc/parallel/parallel_for.h"
 #include "edgepcc/parallel/radix_sort.h"
 #include "edgepcc/parallel/thread_pool.h"
+#include "edgepcc/platform/arena.h"
 
 namespace edgepcc {
 namespace {
@@ -282,15 +283,6 @@ TEST(ParallelExceptions, ZeroWorkersRunInlineAndStillDefer)
     EXPECT_EQ(thrownMessage([&] { group.wait(); }), "inline");
 }
 
-TEST(ExclusiveScan, KnownSequence)
-{
-    std::vector<std::uint32_t> values{3, 1, 4, 1, 5};
-    const std::uint32_t total = exclusiveScan(values);
-    EXPECT_EQ(total, 14u);
-    EXPECT_EQ(values,
-              (std::vector<std::uint32_t>{0, 3, 4, 8, 9}));
-}
-
 /** Sorts `keys` in place with the identity permutation as payload;
  *  returns where each sorted key came from. */
 std::vector<std::uint32_t>
@@ -358,7 +350,11 @@ TEST(RadixSort, RespectsKeyBitsLimit)
     EXPECT_EQ(from, (std::vector<std::uint32_t>{1, 0}));
 }
 
-/** Parameterized sweep over sizes and key widths. */
+/**
+ * Parameterized sweep over sizes and key widths. The sizes straddle
+ * the 512-key bucket of the MSD partition and its doublings; each
+ * runs three key distributions, with a bound FrameArena and without.
+ */
 class RadixSortSweep
     : public ::testing::TestWithParam<std::tuple<int, int>>
 {
@@ -369,25 +365,61 @@ TEST_P(RadixSortSweep, SortedAscending)
     const auto [size, bits] = GetParam();
     Rng rng(static_cast<std::uint64_t>(size) * 131 +
             static_cast<std::uint64_t>(bits));
-    std::vector<std::uint64_t> keys(static_cast<std::size_t>(size));
-    const std::uint64_t mask =
-        bits == 64 ? ~std::uint64_t{0}
-                   : ((std::uint64_t{1} << bits) - 1);
-    for (auto &key : keys)
-        key = rng() & mask;
-    const std::vector<std::uint64_t> input = keys;
-    const std::vector<std::uint32_t> from =
-        sortWithIndices(keys, bits);
-    for (std::size_t i = 1; i < keys.size(); ++i)
-        EXPECT_LE(keys[i - 1], keys[i]);
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        EXPECT_EQ(input[from[i]], keys[i]);
+    const auto n = static_cast<std::size_t>(size);
+    const auto lowMask = [](int width) {
+        return width >= 64 ? ~std::uint64_t{0}
+                           : (std::uint64_t{1} << width) - 1;
+    };
+    const std::uint64_t mask = lowMask(bits);
+    // Every key shares the top byte of its `bits`, so the partition
+    // puts them all in one bucket.
+    const int top = std::max(bits - 8, 0);
+    const std::uint64_t shared_top =
+        (std::uint64_t{0xA5} << top) & mask;
+
+    enum class Keys { kUniform, kSharedTopByte, kBitsAboveWidth };
+    for (const Keys kind : {Keys::kUniform, Keys::kSharedTopByte,
+                            Keys::kBitsAboveWidth}) {
+        std::vector<std::uint64_t> input(n);
+        for (auto &key : input) {
+            const std::uint64_t word = rng();
+            switch (kind) {
+            case Keys::kUniform: key = word & mask; break;
+            case Keys::kSharedTopByte:
+                key = (word & lowMask(top)) | shared_top;
+                break;
+            case Keys::kBitsAboveWidth: key = word; break;
+            }
+        }
+        // Reference: a stable comparison sort of (masked key, index).
+        std::vector<std::uint32_t> expected(n);
+        for (std::uint32_t i = 0; i < n; ++i)
+            expected[i] = i;
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                             return (input[a] & mask) <
+                                    (input[b] & mask);
+                         });
+        for (const bool bound : {false, true}) {
+            FrameArena arena;
+            ScopedFrameArena bind(bound ? &arena : nullptr);
+            std::vector<std::uint64_t> keys = input;
+            const std::vector<std::uint32_t> from =
+                sortWithIndices(keys, bits);
+            ASSERT_EQ(from, expected)
+                << "distribution " << static_cast<int>(kind)
+                << (bound ? ", arena" : ", heap");
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(keys[i], input[from[i]]);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SizesAndWidths, RadixSortSweep,
-    ::testing::Combine(::testing::Values(0, 1, 2, 100, 4096),
-                       ::testing::Values(1, 8, 30, 33, 64)));
+    ::testing::Combine(::testing::Values(0, 1, 2, 100, 511, 512, 513,
+                                         1023, 1024, 4096, 131073),
+                       ::testing::Values(1, 8, 9, 30, 33, 48, 64)));
 
 }  // namespace
 }  // namespace edgepcc

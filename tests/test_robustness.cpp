@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -32,6 +34,7 @@
 #include "edgepcc/common/work_counters.h"
 #include "edgepcc/core/video_codec.h"
 #include "edgepcc/dataset/synthetic_human.h"
+#include "edgepcc/octree/parallel_builder.h"
 #include "edgepcc/parallel/thread_pool.h"
 #include "edgepcc/platform/arena.h"
 #include "edgepcc/serve/serve_scheduler.h"
@@ -57,6 +60,8 @@
 namespace {
 /** Allocations left before the injected failure; -1 = disarmed. */
 thread_local std::int64_t g_alloc_countdown = -1;
+/** Calls of the throwing operator new forms on this thread. */
+thread_local std::int64_t g_alloc_count = 0;
 
 struct ScopedAllocFailure {
     explicit ScopedAllocFailure(std::int64_t after)
@@ -75,6 +80,7 @@ struct ScopedAllocFailure {
 void *
 countdownAlloc(std::size_t size)
 {
+    ++g_alloc_count;
     if (g_alloc_countdown >= 0) {
         if (g_alloc_countdown == 0) {
             g_alloc_countdown = -1;  // single shot, then disarm
@@ -880,6 +886,41 @@ TEST_F(RobustnessTest, ArenaSteadyStateReusesWarmBlocks)
     }
     EXPECT_EQ(arena.bytesReserved(), reserved);
     EXPECT_EQ(arena.upstreamBlockCount(), blocks);
+}
+
+TEST_F(RobustnessTest, ParallelOctreeAllocationsIndependentOfDepth)
+{
+    // On a warm bound arena every sweep's scratch is carved from
+    // it, so the heap sees the same allocations at any depth.
+    FrameArena arena;
+    ScopedFrameArena bind(&arena);
+    const int depths[] = {2, 10, 21};
+    std::vector<std::vector<std::uint64_t>> inputs;
+    Rng rng(27);
+    for (const int depth : depths) {
+        const std::uint64_t mask =
+            (std::uint64_t{1} << (3 * depth)) - 1;
+        std::vector<std::uint64_t> codes(2000);
+        for (auto &code : codes)
+            code = rng() & mask;
+        std::sort(codes.begin(), codes.end());
+        inputs.push_back(std::move(codes));
+    }
+    for (std::size_t d = 0; d < inputs.size(); ++d) {
+        arena.reset();
+        ASSERT_TRUE(buildParallelOctree(inputs[d], depths[d]));
+    }
+    std::vector<std::int64_t> allocations;
+    for (std::size_t d = 0; d < inputs.size(); ++d) {
+        arena.reset();
+        const std::int64_t before = g_alloc_count;
+        const auto occupancy =
+            buildParallelOctree(inputs[d], depths[d]);
+        allocations.push_back(g_alloc_count - before);
+        ASSERT_TRUE(occupancy);
+    }
+    EXPECT_EQ(allocations[0], allocations[1]);
+    EXPECT_EQ(allocations[0], allocations[2]);
 }
 
 TEST_F(RobustnessTest, ScopedFrameArenaRestoresPreviousBinding)
